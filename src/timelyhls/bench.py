@@ -11,10 +11,12 @@ import csv
 import io
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
+from . import toolchain
 from .errors import ContractError, ValidationError, VersionError
 from .reports import RESOURCE_NAMES, QoRReport, ResourceUsage, canonical_load
 
@@ -43,15 +45,34 @@ class BenchmarkDescriptor:
     def _source(self) -> str:
         return self.source_path.read_text(encoding="utf-8")
 
+    def model(self) -> toolchain.KernelModel:
+        """The kernel model, loaded on the first call and kept like the source."""
+        return self._model
+
+    @cached_property
+    def _model(self) -> toolchain.KernelModel:
+        return toolchain.load_model(self.model_path)
+
 
 def load_manifest(path: str | Path) -> list[BenchmarkDescriptor]:
-    """Read bench/manifest.json; every referenced path must exist."""
+    """Read bench/manifest.json; every referenced path must exist.
+    ValidationError names the file, and the entry and fields at fault."""
     path = Path(path)
     base = path.parent
-    raw = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path.name}: not valid JSON: {exc}") from exc
+    if not isinstance(raw, list):
+        raise ValidationError(f"{path.name}: not a JSON array")
     out: list[BenchmarkDescriptor] = []
     seen: set[str] = set()
-    for entry in raw:
+    for i, entry in enumerate(raw):
+        if not isinstance(entry, dict):
+            raise ValidationError(f"{path.name}: entry {i}: not a JSON object")
+        bad = [f.name for f in fields(BenchmarkDescriptor) if not isinstance(entry.get(f.name), str)]
+        if bad:
+            raise ValidationError(f"{path.name}: entry {i}: not a string: {', '.join(bad)}")
         desc = BenchmarkDescriptor(
             id=entry["id"],
             title=entry["title"],
@@ -181,85 +202,71 @@ def _fmt_ii(v: int | None) -> str:
     return "-" if v is None else str(v)
 
 
-_TABLE_SHAPES = {
-    "ff": (
-        ["Benchmark", "Family", "Part", "FF Used", "FF Change (%)"],
-        lambda d: [d.benchmark_id, d.family, d.part, str(d.ff_opt), _fmt_pct(d.ff_change_pct)],
-    ),
-    "lut": (
-        ["Benchmark", "Family", "Part", "LUTs Used", "LUTs Change (%)"],
-        lambda d: [d.benchmark_id, d.family, d.part, str(d.lut_opt), _fmt_pct(d.lut_change_pct)],
-    ),
-    "latency": (
-        ["Benchmark", "Family", "Part", "Speedup", "WNS Base (ns)", "WNS Optimized (ns)"],
-        lambda d: [
-            d.benchmark_id,
-            d.family,
-            d.part,
-            format_speedup(d.speedup),
-            f"{d.wns_base:.2f}",
-            f"{d.wns_opt:.2f}",
-        ],
-    ),
-    "loop_ii": (
-        ["Benchmark", "Part", "Base II", "Optimized II"],
-        lambda d: [d.benchmark_id, d.part, _fmt_ii(d.ii_base), _fmt_ii(d.ii_opt)],
-    ),
-    "full": (
-        [
-            "Benchmark",
-            "Family",
-            "Part",
-            "Speedup",
-            "FF Used",
-            "FF Change (%)",
-            "LUTs Used",
-            "LUTs Change (%)",
-            "DSP Base",
-            "DSP Optimized",
-            "Base II",
-            "Optimized II",
-            "WNS Base (ns)",
-            "WNS Optimized (ns)",
-        ],
-        lambda d: [
-            d.benchmark_id,
-            d.family,
-            d.part,
-            format_speedup(d.speedup),
-            str(d.ff_opt),
-            _fmt_pct(d.ff_change_pct),
-            str(d.lut_opt),
-            _fmt_pct(d.lut_change_pct),
-            str(d.dsp_base),
-            str(d.dsp_opt),
-            _fmt_ii(d.ii_base),
-            _fmt_ii(d.ii_opt),
-            f"{d.wns_base:.2f}",
-            f"{d.wns_opt:.2f}",
-        ],
-    ),
+# column header -> the text of a delta's cell, in the full table's order
+_COLUMNS = {
+    "Benchmark": attrgetter("benchmark_id"),
+    "Family": attrgetter("family"),
+    "Part": attrgetter("part"),
+    "Speedup": lambda d: format_speedup(d.speedup),
+    "FF Used": lambda d: str(d.ff_opt),
+    "FF Change (%)": lambda d: _fmt_pct(d.ff_change_pct),
+    "LUTs Used": lambda d: str(d.lut_opt),
+    "LUTs Change (%)": lambda d: _fmt_pct(d.lut_change_pct),
+    "DSP Base": lambda d: str(d.dsp_base),
+    "DSP Optimized": lambda d: str(d.dsp_opt),
+    "Base II": lambda d: _fmt_ii(d.ii_base),
+    "Optimized II": lambda d: _fmt_ii(d.ii_opt),
+    "WNS Base (ns)": lambda d: f"{d.wns_base:.2f}",
+    "WNS Optimized (ns)": lambda d: f"{d.wns_opt:.2f}",
 }
+
+# table name -> its column headers, each table a selection of the full one
+TABLES = {
+    "ff": ("Benchmark", "Family", "Part", "FF Used", "FF Change (%)"),
+    "lut": ("Benchmark", "Family", "Part", "LUTs Used", "LUTs Change (%)"),
+    "latency": ("Benchmark", "Family", "Part", "Speedup", "WNS Base (ns)", "WNS Optimized (ns)"),
+    "loop_ii": ("Benchmark", "Part", "Base II", "Optimized II"),
+    "full": tuple(_COLUMNS),
+}
+
+_ROW_ORDER = attrgetter("benchmark_id", "part")
+
+
+def _full_rows(deltas: list[QoRDelta]) -> list[list[str]]:
+    """Every delta's cells in the full table's columns, rows sorted by
+    (benchmark, part)."""
+    cells = _COLUMNS.values()
+    return [[cell(d) for cell in cells] for d in sorted(deltas, key=_ROW_ORDER)]
+
+
+def _select(table: str, rows: list[list[str]]) -> tuple[tuple[str, ...], list]:
+    """(header, rows) of a table, its columns picked from full-table rows."""
+    header = TABLES[table]
+    pick = itemgetter(*map(TABLES["full"].index, header))
+    return header, [pick(row) for row in rows]
+
+
+def _csv(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _markdown(header, rows) -> str:
+    lines = ["| " + " | ".join(header) + " |", "| " + " | ".join("---" for _ in header) + " |"]
+    lines += ["| " + " | ".join(r) + " |" for r in rows]
+    return "\n".join(lines) + "\n"
 
 
 def emit_tables(deltas: list[QoRDelta], format: str = "csv", table: str = "full") -> str:
     """One table as text, rows sorted by (benchmark, part); deterministic."""
-    header, row_fn = _TABLE_SHAPES[table]
-    rows = [row_fn(d) for d in sorted(deltas, key=lambda d: (d.benchmark_id, d.part))]
-    if format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        return buf.getvalue()
-    if format == "markdown":
-        lines = [
-            "| " + " | ".join(header) + " |",
-            "| " + " | ".join("---" for _ in header) + " |",
-        ]
-        lines += ["| " + " | ".join(r) + " |" for r in rows]
-        return "\n".join(lines) + "\n"
-    raise ContractError(f"unknown table format {format!r}")
+    header, rows = _select(table, _full_rows(deltas))
+    render = {"csv": _csv, "markdown": _markdown}.get(format)
+    if render is None:
+        raise ContractError(f"unknown table format {format!r}")
+    return render(header, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +283,11 @@ def success_matrix_csv(states: list[dict]) -> str:
         attempted[family] = attempted.get(family, 0) + 1
         if state["final_verdict"] == "converged":
             converged[family] = converged.get(family, 0) + 1
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["family", "attempted", "converged", "success_pct"])
+    rows = []
     for family, n in sorted(attempted.items()):
         c = converged.get(family, 0)
-        writer.writerow([family, n, c, f"{100.0 * c / n:.1f}"])
-    return buf.getvalue()
+        rows.append([family, n, c, f"{100.0 * c / n:.1f}"])
+    return _csv(["family", "attempted", "converged", "success_pct"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +328,13 @@ def collect_results(runs_root: str | Path) -> tuple[list[QoRDelta], list[dict]]:
         missing = [key for key in STATE_KEYS if key not in state]
         if missing:
             raise VersionError(f"{state_file}: missing {', '.join(missing)}")
+        iterations = state["iterations"]
+        if not isinstance(iterations, list) or not all(
+            isinstance(it, dict) and type(it.get("index")) is int and isinstance(it.get("phases"), dict)
+            for it in iterations
+        ):
+            raise VersionError(f"{state_file}: iterations: expected a list of objects, "
+                               "each with an integer index and an object of phases")
         states.append(state)
         if state["final_verdict"] != "converged":
             continue
@@ -356,10 +368,12 @@ def write_results(deltas: list[QoRDelta], states: list[dict], out_dir: str | Pat
     tables_dir.mkdir(parents=True, exist_ok=True)
     plot_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    for table in ("ff", "lut", "latency", "loop_ii", "full"):
-        for fmt, ext in (("csv", "csv"), ("markdown", "md")):
+    full_rows = _full_rows(deltas)
+    for table in TABLES:
+        header, rows = _select(table, full_rows)
+        for ext, render in (("csv", _csv), ("md", _markdown)):
             path = tables_dir / f"{table}.{ext}"
-            path.write_text(emit_tables(deltas, format=fmt, table=table), encoding="utf-8")
+            path.write_text(render(header, rows), encoding="utf-8")
             written.append(path)
     matrix_path = out_dir / "success_matrix.csv"
     matrix_path.write_text(success_matrix_csv(states), encoding="utf-8")
@@ -368,17 +382,13 @@ def write_results(deltas: list[QoRDelta], states: list[dict], out_dir: str | Pat
     for d in deltas:
         by_family.setdefault(d.family, []).append(d)
     for family, rows in sorted(by_family.items()):
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["benchmark", "speedup"])
         # each benchmark's speedup on the family's first converged part in
         # part order, not its best
         first: dict[str, float] = {}
-        for d in sorted(rows, key=lambda d: (d.benchmark_id, d.part)):
+        for d in sorted(rows, key=_ROW_ORDER):
             first.setdefault(d.benchmark_id, d.speedup)
-        for benchmark_id, speedup in sorted(first.items()):
-            writer.writerow([benchmark_id, format_speedup(speedup)])
+        plot = [[benchmark_id, format_speedup(s)] for benchmark_id, s in sorted(first.items())]
         path = plot_dir / f"speedup_{_slug(family)}.csv"
-        path.write_text(buf.getvalue(), encoding="utf-8")
+        path.write_text(_csv(["benchmark", "speedup"], plot), encoding="utf-8")
         written.append(path)
     return written

@@ -8,11 +8,11 @@ ids, missing files, bad flags).
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import os
 import sys
-import threading
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -31,7 +31,6 @@ from .toolchain import (
     ExternalToolchain,
     PhaseCommand,
     SimulatedToolchain,
-    load_model,
 )
 
 EXIT_OK = 0
@@ -171,35 +170,13 @@ def _archive(cfg: AppConfig, benchmark, target) -> Path:
     return cfg.results_dir / "runs" / benchmark.id / target.part
 
 
-class _Inputs:
-    """The files the cells of one command read, each loaded at most once:
-    a benchmark's kernel model and scenario script. The kernel source is
-    kept by the benchmark's descriptor.
-
-    A load that raises stores nothing, so every cell it fails for aborts
-    with the same reason inside its own run. A command makes one instance
-    and drops it on return, so a second command in the same process
-    reads the files afresh. Cells on --jobs threads share the instance
-    and only read what it holds."""
-
-    def __init__(self) -> None:
-        self._values: dict[tuple, object] = {}
-        self._lock = threading.Lock()
-
-    def get(self, key: tuple, load: Callable[[], object]):
-        with self._lock:
-            if key not in self._values:
-                self._values[key] = load()
-            return self._values[key]
-
-
-def _make_cell(cfg: AppConfig, benchmark, target, inputs: _Inputs):
-    """Backend + toolchain + archive dir for one benchmark x part cell."""
+def _make_cell(cfg: AppConfig, benchmark, target, script_entries: Callable[[str], tuple]):
+    """Backend + toolchain + archive dir for one benchmark x part cell;
+    script_entries is load_script, or one cache of it for many cells."""
     clock_ns = cfg.refinement.clock_for(target)
     if cfg.toolchain_kind == "simulated":
         toolchain = SimulatedToolchain(
-            model=inputs.get(("model", benchmark.model_path),
-                             lambda: load_model(benchmark.model_path)),
+            model=benchmark.model(),
             reference_source=benchmark.source_text(),
             top_function=benchmark.top_function,
             target=target,
@@ -216,10 +193,9 @@ def _make_cell(cfg: AppConfig, benchmark, target, inputs: _Inputs):
     archive = _archive(cfg, benchmark, target)
     if cfg.backend.kind != "scripted":
         return make_backend(cfg.backend), toolchain, archive
-    script = inputs.get(("script", benchmark.id), lambda: _resolve_script(cfg, benchmark.id))
+    script = _resolve_script(cfg, benchmark.id)
     cfg.backend.validate()  # a script was found, so only the other fields can fail
-    entries = inputs.get(("entries", script), lambda: load_script(script))
-    return ScriptedBackend(script, entries), toolchain, archive
+    return ScriptedBackend(script, script_entries(script)), toolchain, archive
 
 
 def _apply_common_overrides(cfg: AppConfig, backend, toolchain, max_iters, results_dir, jobs=None):
@@ -286,7 +262,7 @@ def optimize(benchmark, part, config_path, backend, script_path, toolchain, max_
         target = kb_mod.find_target(targets, part)
         benchmarks = bench_mod.load_manifest(cfg.bench_manifest)
         desc = bench_mod.find_benchmark(benchmarks, benchmark)
-        gen_backend, tool, archive = _make_cell(cfg, desc, target, _Inputs())
+        gen_backend, tool, archive = _make_cell(cfg, desc, target, load_script)
     except (NotFound, ConfigError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_USAGE)
@@ -300,10 +276,10 @@ def optimize(benchmark, part, config_path, backend, script_path, toolchain, max_
     sys.exit(EXIT_OK if state.final_verdict == "converged" else EXIT_FAILURE)
 
 
-def _run_cell(cfg: AppConfig, desc, target, index, inputs: _Inputs) -> str:
+def _run_cell(cfg: AppConfig, desc, target, index, script_entries) -> str:
     """Run one matrix cell, building it inside the run; returns its final verdict."""
     return run_refinement(
-        desc, target, cfg.refinement, lambda: _make_cell(cfg, desc, target, inputs)[:2],
+        desc, target, cfg.refinement, lambda: _make_cell(cfg, desc, target, script_entries)[:2],
         _archive(cfg, desc, target), index,
     ).final_verdict
 
@@ -336,10 +312,11 @@ def matrix(config_path, jobs, backend, script_path, toolchain, max_iters, result
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_USAGE)
 
+    # neither the descriptors nor the cache keep a failed load: each cell retries it
     cells = [(desc, target) for desc in benchmarks for target in targets]
-    inputs = _Inputs()
+    script_entries = functools.cache(load_script)
     with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-        verdicts = list(pool.map(lambda cell: _run_cell(cfg, *cell, index, inputs), cells))
+        verdicts = list(pool.map(lambda cell: _run_cell(cfg, *cell, index, script_entries), cells))
 
     runs_root = cfg.results_dir / "runs"
     deltas, states = bench_mod.collect_results(runs_root)
@@ -369,7 +346,7 @@ def dse(benchmark, part, config_path, steps, seed, t0, alpha, results_dir):
         target = kb_mod.find_target(targets, part)
         benchmarks = bench_mod.load_manifest(cfg.bench_manifest)
         desc = bench_mod.find_benchmark(benchmarks, benchmark)
-        model = load_model(desc.model_path)
+        model = desc.model()
         schedule = dse_mod.AnnealSchedule(t0=t0, alpha=alpha, steps=steps, seed=seed)
         schedule.validate()
     except (NotFound, ConfigError, ValidationError) as exc:

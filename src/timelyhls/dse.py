@@ -181,7 +181,12 @@ def point_settings(model: KernelModel, space: ConfigSpace) -> Callable[[tuple], 
     not pipelined. Raises ValidationError on a space that does not fit the
     model (see `_positions`).
     """
-    ii_at, unroll_at, partition_at, fixed = _positions(model, space)
+    return _settings_at(_positions(model, space))
+
+
+def _settings_at(positions) -> Callable[[tuple], Settings]:
+    """The function from a point to its settings, given `_positions`."""
+    ii_at, unroll_at, partition_at, fixed = positions
 
     def settings(point: tuple) -> Settings:
         values = point + fixed
@@ -233,11 +238,12 @@ def _search(model: KernelModel, space: ConfigSpace, target: FpgaTarget, clock_ns
     once, and the slack of each logic-level count on its first use.
     """
     shape = KernelShape.of(model)
-    settings_of = point_settings(model, space)
+    positions = _positions(model, space)
+    ii_at, unroll_at, partition_at, fixed = positions
+    settings_of = _settings_at(positions)
     # Each ladder's smallest rung; None (not pipelined) is always valid.
     lowest = tuple(min(ladder, key=lambda v: 0 if v is None else v) for ladder in space.ladders)
     _check_settings(shape.loops, shape.arrays, settings_of(lowest))
-    ii_at, unroll_at, partition_at, fixed = _positions(model, space)
     rungs = space.ladders + tuple((value,) for value in fixed)  # the values each position takes
     cost_of = coster(shape, rungs, ii_at, unroll_at, partition_at)
     cap_ff, cap_lut, cap_dsp, cap_bram = map(target.capacity, RESOURCE_NAMES)

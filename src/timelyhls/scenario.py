@@ -17,7 +17,7 @@ from pathlib import Path
 from .bench import BenchmarkDescriptor
 from .hls_source import PragmaDirective, PragmaKind, SourceUnit, inject_pragma
 from .reports import json_dumps
-from .toolchain import KernelModel, load_model
+from .toolchain import KernelModel
 
 INITIAL_UNROLL = 8
 REPAIR_PARTITION = 4
@@ -86,7 +86,7 @@ def _response(note: str, code: str) -> str:
 def default_script_entries(benchmark: BenchmarkDescriptor) -> list[dict]:
     """The default 3-entry scenario for one benchmark."""
     source = benchmark.source_text()
-    model = load_model(benchmark.model_path)
+    model = benchmark.model()
     initial = _response(
         f"Unrolled the hot loop by {INITIAL_UNROLL}x to expose parallelism.",
         unrolled_variant(source, model),

@@ -244,21 +244,32 @@ def _loop_from_json(raw: dict) -> LoopDescriptor:
 
 
 def load_model(path: str | Path) -> KernelModel:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    model = KernelModel(
-        root=_loop_from_json(raw["root_loop"]),
-        arrays=tuple(
-            ArraySpec(
-                name=a["name"],
-                elements=int(a["elements"]),
-                accesses_per_iteration=int(a["accesses_per_iteration"]),
-                partition_factor=int(a.get("partition_factor", 1)),
-            )
-            for a in raw.get("arrays", [])
-        ),
-        datapath_bits=int(raw.get("datapath_bits", 32)),
-    )
-    model.validate()
+    """A kernel model file; ValidationError names the file, and the field
+    when one is missing."""
+    name = Path(path).name
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{name}: not valid JSON: {exc}") from exc
+    try:
+        model = KernelModel(
+            root=_loop_from_json(raw["root_loop"]),
+            arrays=tuple(
+                ArraySpec(
+                    name=a["name"],
+                    elements=int(a["elements"]),
+                    accesses_per_iteration=int(a["accesses_per_iteration"]),
+                    partition_factor=int(a.get("partition_factor", 1)),
+                )
+                for a in raw.get("arrays", [])
+            ),
+            datapath_bits=int(raw.get("datapath_bits", 32)),
+        )
+        model.validate()
+    except KeyError as exc:
+        raise ValidationError(f"{name}: missing {exc}") from exc
+    except (AttributeError, TypeError, ValueError, ValidationError) as exc:
+        raise ValidationError(f"{name}: {exc}") from exc
     return model
 
 

@@ -4,17 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import sys
-import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 import timelyhls
-from timelyhls import bench, cli, scenario
+from timelyhls import bench, cli, scenario, toolchain
 from timelyhls.cli import main
 from timelyhls.loop import RefinementConfig
 from timelyhls.toolchain import SimulatedToolchain
@@ -369,8 +365,8 @@ class TestMatrix:
 
         make_cell = cli._make_cell
 
-        def faulty_make_cell(cfg, desc, target, inputs):
-            backend, tool, archive = make_cell(cfg, desc, target, inputs)
+        def faulty_make_cell(cfg, desc, target, script_entries):
+            backend, tool, archive = make_cell(cfg, desc, target, script_entries)
             if (desc.id, target.part) == ("vecadd", "xc7s50-ftgb196-2"):
                 tool.__class__ = Crashing
             return backend, tool, archive
@@ -445,8 +441,8 @@ class TestMatrix:
         vecadd["model_path"] = str(model)
         manifest.write_text(json.dumps(entries))
         loads = []
-        load_model = cli.load_model
-        monkeypatch.setattr(cli, "load_model", lambda path: loads.append(path) or load_model(path))
+        load_model = toolchain.load_model
+        monkeypatch.setattr(toolchain, "load_model", lambda path: loads.append(path) or load_model(path))
         return config, model, loads
 
     def test_malformed_model_aborts_every_cell_of_its_benchmark_alike(
@@ -464,7 +460,7 @@ class TestMatrix:
             state = json.loads((results / "runs" / "vecadd" / part / "state.json").read_text())
             assert state["final_verdict"] == "aborted" and state["iterations"] == []
             reasons.add(state["abort_reason"])
-        assert len(reasons) == 1 and reasons.pop().startswith("JSONDecodeError: ")
+        assert len(reasons) == 1 and reasons.pop().startswith(f"ValidationError: {model.name}: ")
         # a failed load is tried again by the next cell; a good one is not
         assert loads.count(model) == 2 and len(loads) == 3
 
@@ -497,27 +493,25 @@ class TestMatrix:
         assert result.exit_code == 0, result.output
         assert sorted(reads) == sorted(sources)
 
-    def test_threads_share_one_load_per_key(self):
-        """Sixteen threads, switching every microsecond, ask for four keys:
-        each is loaded once and every thread gets that one value."""
-        inputs, loads, lock = cli._Inputs(), [], threading.Lock()
+    def test_each_model_is_loaded_once_per_command(self, runner, tmp_path, monkeypatch):
+        """The bundled 10x10 matrix, writing its scenario scripts first,
+        loads each of the 10 kernel models once: the scripts and the cells
+        share the model its descriptor keeps."""
+        models = {b.model_path for b in bench.load_manifest(bench.bundled_manifest_path())}
+        reads, read_text = [], Path.read_text
 
-        def load(key):
-            with lock:
-                loads.append(key)
-            time.sleep(0.02)  # without the lock, another thread would load the key again here
-            return object()
+        def counting(path, *args, **kwargs):
+            if path in models:
+                reads.append(path)
+            return read_text(path, *args, **kwargs)
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=16) as pool:
-                keys = [i % 4 for i in range(400)]
-                values = list(pool.map(lambda k: inputs.get((k,), lambda: load(k)), keys))
-        finally:
-            sys.setswitchinterval(interval)
-        assert sorted(loads) == [0, 1, 2, 3]
-        assert all(values[i] is values[i % 4] for i in range(400))
+        monkeypatch.setattr(Path, "read_text", counting)
+        result = runner.invoke(main, [
+            "matrix", "--backend", "scripted", "--write-scripts", "--jobs", "1",
+            "--results-dir", str(tmp_path / "results"),
+        ])
+        assert result.exit_code == 0, result.output
+        assert sorted(reads) == sorted(models)
 
 
 class TestDse:
@@ -633,6 +627,13 @@ class TestDse:
         assert not (tmp_path / "results" / "dse").exists()
 
 
+# a converged run's state.json with the given iterations
+CONVERGED_STATE = (
+    '{"benchmark_id": "matmul", "part": "xc7a200tfbg676-2", "family": "Artix-7", '
+    '"final_verdict": "converged", "iterations": %s}'
+)
+
+
 class TestReportRender:
     def test_rerender_from_archives(self, runner, tmp_path):
         kb_dir = write_small_kb(tmp_path)
@@ -662,6 +663,8 @@ class TestReportRender:
             ("state.json", '{"schema_version": 1,', "not valid JSON"),
             ("state.json", "{}", "missing benchmark_id, part, family, final_verdict, iterations"),
             ("state.json", "[1]", "not a JSON object: list"),
+            ("state.json", CONVERGED_STATE % "5", "iterations: expected a list of objects"),
+            ("state.json", CONVERGED_STATE % '[{"index": 1}]', "iterations: expected a list of objects"),
         ],
     )
     def test_corrupt_archive_exits_one_naming_the_file(self, runner, tmp_path, name, text, reason):
@@ -681,6 +684,70 @@ class TestReportRender:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith(f"error: {run_dir / name}: {reason}")
+
+
+class TestMalformedInputs:
+    """A malformed manifest or kernel model is `error: <file>: <reason>`,
+    exit 2 from matrix and dse and exit 1 from optimize, as for a manifest
+    naming a missing file. In a matrix a broken model only aborts its own
+    cells (TestMatrix)."""
+
+    ARGS = {
+        "matrix": ["matrix", "--jobs", "1"],
+        "dse": ["dse", "--benchmark", "vecadd", "--part", "xc7a200tfbg676-2", "--steps", "20"],
+        "optimize": ["optimize", "--benchmark", "vecadd", "--part", "xc7a200tfbg676-2"],
+    }
+    EXITS = {"matrix": 2, "dse": 2, "optimize": 1}
+
+    def run(self, runner, tmp_path, command, name, edit):
+        """Run command after edit(text) replaced the text of the manifest
+        or of vecadd's model (a copy), as name says."""
+        kb_dir = write_small_kb(tmp_path)
+        manifest = write_small_manifest(tmp_path, ("vecadd",))
+        scripts = tmp_path / "scripts"
+        scenario.write_matrix_scripts(bench.load_manifest(manifest), scripts)
+        entries = json.loads(manifest.read_text())
+        model = tmp_path / "vecadd_model.json"
+        model.write_text(Path(entries[0]["model_path"]).read_text())
+        entries[0]["model_path"] = str(model)
+        manifest.write_text(json.dumps(entries))
+        path = {"manifest": manifest, "model": model}[name]
+        path.write_text(edit(path.read_text()))
+        config = write_config(tmp_path, kb_dir, manifest, scripts, tmp_path / "results")
+        return runner.invoke(main, self.ARGS[command] + ["--config", str(config)])
+
+    @pytest.mark.parametrize("command", ["matrix", "dse", "optimize"])
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda text: json.dumps([{k: v for k, v in json.loads(text)[0].items() if k != "title"}]),
+             "manifest.json: entry 0: not a string: title"),
+            (lambda text: text[:40], "manifest.json: not valid JSON"),
+            (lambda text: json.dumps({"benchmarks": json.loads(text)}), "manifest.json: not a JSON array"),
+        ],
+    )
+    def test_malformed_manifest(self, runner, tmp_path, command, edit, reason):
+        result = self.run(runner, tmp_path, command, "manifest", edit)
+        assert result.exit_code == self.EXITS[command]
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith(f"error: {reason}")
+        assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize("command", ["dse", "optimize"])
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "root_loop"}),
+             "vecadd_model.json: missing 'root_loop'"),
+            (lambda text: text[:40], "vecadd_model.json: not valid JSON"),
+        ],
+    )
+    def test_malformed_model(self, runner, tmp_path, command, edit, reason):
+        result = self.run(runner, tmp_path, command, "model", edit)
+        assert result.exit_code == self.EXITS[command]
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith(f"error: {reason}")
+        assert not (tmp_path / "results").exists()
 
 
 class TestLoadConfig:
