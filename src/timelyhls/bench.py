@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import toolchain
 from .errors import ContractError, ValidationError, VersionError
-from .reports import RESOURCE_NAMES, QoRReport, ResourceUsage, canonical_load
+from .reports import RESOURCE_NAMES, QoRReport, ResourceUsage, canonical_load, write_file
 
 # the state.json keys that collecting and tabling a run read
 STATE_KEYS = ("benchmark_id", "part", "family", "final_verdict", "iterations")
@@ -335,6 +335,16 @@ def collect_results(runs_root: str | Path) -> tuple[list[QoRDelta], list[dict]]:
         ):
             raise VersionError(f"{state_file}: iterations: expected a list of objects, "
                                "each with an integer index and an object of phases")
+        for key in ("benchmark_id", "part", "family", "final_verdict"):
+            if not isinstance(state[key], str):
+                raise VersionError(
+                    f"{state_file}: {key}: expected a string, got {type(state[key]).__name__}"
+                )
+        for i, it in enumerate(iterations):
+            for phase, summary in it["phases"].items():
+                if not isinstance(summary, dict):
+                    raise VersionError(f"{state_file}: iterations[{i}].phases.{phase}: "
+                                       f"expected an object, got {type(summary).__name__}")
         states.append(state)
         if state["final_verdict"] != "converged":
             continue
@@ -373,10 +383,10 @@ def write_results(deltas: list[QoRDelta], states: list[dict], out_dir: str | Pat
         header, rows = _select(table, full_rows)
         for ext, render in (("csv", _csv), ("md", _markdown)):
             path = tables_dir / f"{table}.{ext}"
-            path.write_text(render(header, rows), encoding="utf-8")
+            write_file(path, render(header, rows))
             written.append(path)
     matrix_path = out_dir / "success_matrix.csv"
-    matrix_path.write_text(success_matrix_csv(states), encoding="utf-8")
+    write_file(matrix_path, success_matrix_csv(states))
     written.append(matrix_path)
     by_family: dict[str, list[QoRDelta]] = {}
     for d in deltas:
@@ -389,6 +399,6 @@ def write_results(deltas: list[QoRDelta], states: list[dict], out_dir: str | Pat
             first.setdefault(d.benchmark_id, d.speedup)
         plot = [[benchmark_id, format_speedup(s)] for benchmark_id, s in sorted(first.items())]
         path = plot_dir / f"speedup_{_slug(family)}.csv"
-        path.write_text(_csv(["benchmark", "speedup"], plot), encoding="utf-8")
+        write_file(path, _csv(["benchmark", "speedup"], plot))
         written.append(path)
     return written

@@ -25,7 +25,7 @@ from . import data_path, dse as dse_mod, kb as kb_mod, scenario
 from .errors import ConfigError, NotFound, TimelyHlsError, ValidationError, VersionError
 from .llm import BACKEND_KINDS, BackendConfig, ScriptedBackend, load_script, make_backend
 from .loop import RefinementConfig, run_refinement
-from .reports import json_dumps, to_canonical_dict
+from .reports import json_dumps, to_canonical_dict, write_file
 from .toolchain import (
     REPORT_FORMATS,
     ExternalToolchain,
@@ -372,7 +372,7 @@ def dse(benchmark, part, config_path, steps, seed, t0, alpha, results_dir):
     # objective is a finite float, so repr is what json writes.
     rows = ",\n".join(f"    [\n      {step},\n      {obj!r}\n    ]" for step, obj in trace)
     text = json_dumps(payload)[:-2] + f',\n  "trace": [\n{rows}\n  ]\n}}\n'
-    out_path.write_text(text, encoding="utf-8")
+    write_file(out_path, text)
     click.echo(f"dse: best objective {trace and min(o for _, o in trace)}; wrote {out_path}")
     sys.exit(EXIT_OK)
 

@@ -24,7 +24,7 @@ from .errors import BackendError, ExtractionError, TimelyHlsError, ToolMissing, 
 from .hls_source import SourceUnit, strip_pragmas
 from .kb import FpgaTarget, KbIndex
 from .llm import GenerationBackend, PromptBundle
-from .reports import canonical_save, json_dumps
+from .reports import canonical_save, json_dumps, write_file
 from .toolchain import PHASES, SYNTH_PHASES, SynthesisOutcome, Toolchain
 
 log = logging.getLogger(__name__)
@@ -194,13 +194,13 @@ def state_to_dict(state: RunState) -> dict:
 
 
 def _persist_state(state: RunState, run_dir: Path) -> None:
-    (run_dir / "state.json").write_text(json_dumps(state_to_dict(state)) + "\n", encoding="utf-8")
+    write_file(run_dir / "state.json", json_dumps(state_to_dict(state)) + "\n")
 
 
 def _persist_iteration(rec: IterationRecord, iter_dir: Path) -> set[str]:
     """Write one iteration's archive files; returns their names."""
     written = {"kernel.cpp", "log.txt", "verdict.txt"}
-    (iter_dir / "kernel.cpp").write_text(rec.generated_source, encoding="utf-8")
+    write_file(iter_dir / "kernel.cpp", rec.generated_source)
     log_parts = []
     for phase, out in rec.outcomes.items():
         log_parts.append(f"===== {phase} =====")
@@ -208,7 +208,7 @@ def _persist_iteration(rec: IterationRecord, iter_dir: Path) -> set[str]:
         if out.qor is not None:
             canonical_save(out.qor, iter_dir / f"{phase}_qor.json")
             written.add(f"{phase}_qor.json")
-    (iter_dir / "log.txt").write_text("\n".join(log_parts) + "\n", encoding="utf-8")
+    write_file(iter_dir / "log.txt", "\n".join(log_parts) + "\n")
     if rec.digest is not None:
         written.add("digest.json")
         digest_dict = {
@@ -217,8 +217,8 @@ def _persist_iteration(rec: IterationRecord, iter_dir: Path) -> set[str]:
                 {"kind": e.kind, "excerpt": e.excerpt} for e in rec.digest.categories
             ],
         }
-        (iter_dir / "digest.json").write_text(json_dumps(digest_dict) + "\n", encoding="utf-8")
-    (iter_dir / "verdict.txt").write_text(rec.verdict + "\n", encoding="utf-8")
+        write_file(iter_dir / "digest.json", json_dumps(digest_dict) + "\n")
+    write_file(iter_dir / "verdict.txt", rec.verdict + "\n")
     return written
 
 
@@ -228,7 +228,7 @@ def _write_prompt(prompt: PromptBundle, iter_dir: Path) -> None:
         f"=== USER [{prompt.stage}] ===\n{prompt.user}\n\n"
         f"=== CONTEXT DOCS ===\n{', '.join(prompt.context_docs) or '(none)'}\n"
     )
-    (iter_dir / "prompt.txt").write_text(text, encoding="utf-8")
+    write_file(iter_dir / "prompt.txt", text)
 
 
 # every file name a run writes into an iteration directory

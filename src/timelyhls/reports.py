@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -269,12 +270,32 @@ def json_dumps(value) -> str:
     return "".join(parts)
 
 
+def write_file(path: str | Path, text: str) -> None:
+    """Replace path's contents with text in UTF-8, line ends untranslated,
+    by one open, write and close; every text file the program writes
+    goes through here. The text is encoded before the file is opened,
+    so one that cannot be encoded leaves the old file as it was.
+
+    A buffered text file took about twice the user CPU per file, and its
+    extra system calls each hand the interpreter lock to another matrix
+    cell.
+    """
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        written = os.write(fd, data)
+        while written < len(data):
+            written += os.write(fd, data[written:])
+    finally:
+        os.close(fd)
+
+
 def canonical_dumps(report: QoRReport) -> str:
     return json_dumps(to_canonical_dict(report)) + "\n"
 
 
 def canonical_save(report: QoRReport, path: str | Path) -> None:
-    Path(path).write_text(canonical_dumps(report), encoding="utf-8")
+    write_file(path, canonical_dumps(report))
 
 
 def _integral(value, name: str) -> int:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .bench import BenchmarkDescriptor
 from .hls_source import PragmaDirective, PragmaKind, SourceUnit, inject_pragma
-from .reports import json_dumps
+from .reports import json_dumps, write_file
 from .toolchain import KernelModel
 
 INITIAL_UNROLL = 8
@@ -117,6 +117,6 @@ def write_matrix_scripts(
     written: dict[str, Path] = {}
     for b in benchmarks:
         path = out_dir / f"{b.id}.json"
-        path.write_text(json_dumps(default_script_entries(b)) + "\n", encoding="utf-8")
+        write_file(path, json_dumps(default_script_entries(b)) + "\n")
         written[b.id] = path
     return written

@@ -58,7 +58,7 @@ from .errors import MappingError, ParseError, ToolMissing, ToolTimeout, Validati
 from .hls_source import AnchorPoint, PragmaDirective, PragmaKind, SourceUnit, anchor_for_line
 from .kb import FpgaTarget
 from .reports import RESOURCE_NAMES, LoopMetric, QoRReport, ResourceUsage, TimingSummary
-from .reports import canonical_load, default_profile, parse_vendor_report
+from .reports import canonical_load, default_profile, parse_vendor_report, write_file
 
 PHASES = ("hls_synth", "c_sim", "rtl_synth", "rtl_sim")
 SYNTH_PHASES = ("hls_synth", "rtl_synth")
@@ -755,7 +755,7 @@ class ExternalToolchain(Toolchain):
         workdir.mkdir(parents=True, exist_ok=True)
         for stale in workdir.glob(spec.report_glob):
             stale.unlink()
-        (workdir / "kernel.cpp").write_text(source_text, encoding="utf-8")
+        write_file(workdir / "kernel.cpp", source_text)
         if self.testbench_path is not None:
             shutil.copyfile(self.testbench_path, workdir / self.testbench_path.name)
         values = {

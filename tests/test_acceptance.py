@@ -9,7 +9,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+import resource
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -445,6 +449,46 @@ def test_matrix_tree_is_pinned_and_in_json_dumps_layout(tmp_path):
         text = path.read_text(encoding="utf-8")
         assert text == json.dumps(json.loads(text), indent=2) + "\n", path
     _report(8, "matrix --jobs 1 tree matches its pinned digest; 600 JSON files in indent=2 layout")
+
+
+def test_every_file_is_written_by_write_file(tmp_path, monkeypatch):
+    """No command writes through Path.write_text; reports.write_file is
+    the one writer, and the matrix tree it leaves is the pinned one."""
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"Path.write_text({self})")
+
+    monkeypatch.setattr(Path, "write_text", refuse)
+    scripts, results = tmp_path / "scripts", tmp_path / "results"
+    runner = CliRunner()
+    result = runner.invoke(cli_main, [
+        "matrix", "--backend", "scripted", "--write-scripts", "--script-path", str(scripts),
+        "--results-dir", str(results), "--jobs", "2",
+    ])
+    assert result.exit_code == 0, result.output
+    assert _tree_sha256(results) == MATRIX_TREE_SHA256
+    cell = ["--benchmark", "vecadd", "--part", "xc7z020-clg484-1", "--results-dir", str(tmp_path / "cell")]
+    for args in (
+        ["dse", *cell, "--steps", "50"],
+        ["optimize", *cell, "--backend", "scripted", "--script-path", str(scripts)],
+        ["report", "render", "--runs", str(results / "runs"), "--out", str(tmp_path / "rendered")],
+    ):
+        result = runner.invoke(cli_main, args)
+        assert result.exit_code == 0, (args, result.output)
+
+
+def test_matrix_jobs_2_runs_within_32_file_descriptors(tmp_path):
+    """Every write closes its descriptor: a leak would exhaust a limit of
+    32 within the matrix's 1,300 writes."""
+    src = Path(timelyhls.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-m", "timelyhls.cli", "matrix", "--backend", "scripted",
+         "--write-scripts", "--jobs", "2"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_NOFILE, (32, 32)),
+    )
+    assert out.returncode == 0, out.stderr
+    assert "matrix: 84/100 cells converged" in out.stdout
 
 
 # The results tree of `dse` on all 100 cells, each cell's seed drawn from

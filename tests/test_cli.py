@@ -634,6 +634,10 @@ CONVERGED_STATE = (
 )
 
 
+# iterations naming the final report of the test's converged matmul run
+FINAL_ITERATION = '[{"index": 1, "phases": {"rtl_synth": {"latency_cycles": 1}}}]'
+
+
 class TestReportRender:
     def test_rerender_from_archives(self, runner, tmp_path):
         kb_dir = write_small_kb(tmp_path)
@@ -665,6 +669,10 @@ class TestReportRender:
             ("state.json", "[1]", "not a JSON object: list"),
             ("state.json", CONVERGED_STATE % "5", "iterations: expected a list of objects"),
             ("state.json", CONVERGED_STATE % '[{"index": 1}]', "iterations: expected a list of objects"),
+            ("state.json", CONVERGED_STATE % '[{"index": 1, "phases": {"rtl_synth": 5}}]',
+             "iterations[0].phases.rtl_synth: expected an object, got int"),
+            ("state.json", CONVERGED_STATE.replace('"Artix-7"', "null") % FINAL_ITERATION,
+             "family: expected a string, got NoneType"),
         ],
     )
     def test_corrupt_archive_exits_one_naming_the_file(self, runner, tmp_path, name, text, reason):

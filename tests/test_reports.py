@@ -10,7 +10,7 @@ from collections import OrderedDict, namedtuple
 from decimal import Decimal
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from timelyhls.errors import ParseError, VersionError
 from timelyhls.reports import (
@@ -21,6 +21,7 @@ from timelyhls.reports import (
     from_canonical_dict,
     json_dumps,
     parse_vendor_report,
+    write_file,
 )
 
 from conftest import FIXTURES, random_qor
@@ -257,6 +258,34 @@ class TestJsonDumps:
             json_dumps(value)
         with pytest.raises(TypeError):
             json_dumps({"a": [value]})
+
+
+class TestWriteFile:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=st.one_of(
+        st.text(),
+        st.text(alphabet=st.sampled_from("a\u00e9\u2028\U0001f600\r\n")),
+    ))
+    @example(text="")
+    @example(text="\r\n\n\r")
+    def test_leaves_the_bytes_and_mode_of_write_text(self, tmp_path, text):
+        old, new, reference = tmp_path / "old.txt", tmp_path / "new.txt", tmp_path / "reference.txt"
+        new.unlink(missing_ok=True)
+        reference.unlink(missing_ok=True)
+        old.write_bytes(b"stale\r\n" * (len(text) + 1))
+        write_file(old, text)
+        write_file(new, text)
+        reference.write_text(text, encoding="utf-8")
+        assert old.read_bytes() == new.read_bytes() == reference.read_bytes() == text.encode("utf-8")
+        assert new.stat().st_mode == reference.stat().st_mode
+
+    def test_unencodable_text_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "kept.txt"
+        write_file(path, "old\n")
+        with pytest.raises(UnicodeEncodeError):
+            write_file(path, "new \ud800\n")
+        assert path.read_bytes() == b"old\n"
 
 
 def canonical_load_path(tmp_path, text):
