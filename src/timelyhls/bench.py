@@ -260,15 +260,6 @@ def _markdown(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_tables(deltas: list[QoRDelta], format: str = "csv", table: str = "full") -> str:
-    """One table as text, rows sorted by (benchmark, part); deterministic."""
-    header, rows = _select(table, _full_rows(deltas))
-    render = {"csv": _csv, "markdown": _markdown}.get(format)
-    if render is None:
-        raise ContractError(f"unknown table format {format!r}")
-    return render(header, rows)
-
-
 # ---------------------------------------------------------------------------
 # Success matrix
 

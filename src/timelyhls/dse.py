@@ -44,13 +44,6 @@ class PragmaConfig:
     unroll: dict  # loop label -> factor
     partition: dict  # array name -> factor
 
-    def key(self) -> tuple:
-        return (
-            tuple(sorted(self.pipeline.items())),
-            tuple(sorted(self.unroll.items())),
-            tuple(sorted(self.partition.items())),
-        )
-
 
 @dataclass(frozen=True)
 class ConfigSpace:
@@ -112,9 +105,6 @@ class ConfigSpace:
             getattr(cfg, kind)[name] = value is not None if kind == "pipeline" else value
         return cfg
 
-    def size(self) -> int:
-        return math.prod(len(ladder) for ladder in self.ladders)
-
     def points(self):
         """Every point, in deterministic order."""
         return product(*self.ladders)
@@ -174,18 +164,10 @@ def _positions(model: KernelModel, space: ConfigSpace):
     return ii_at, unroll_at, partition_at, fixed
 
 
-def point_settings(model: KernelModel, space: ConfigSpace) -> Callable[[tuple], Settings]:
-    """The function from a point of space to its settings for the model.
-
-    A loop or array the space leaves out keeps the model's factor and is
-    not pipelined. Raises ValidationError on a space that does not fit the
-    model (see `_positions`).
-    """
-    return _settings_at(_positions(model, space))
-
-
 def _settings_at(positions) -> Callable[[tuple], Settings]:
-    """The function from a point to its settings, given `_positions`."""
+    """The function from a point to its settings, given `_positions`: a
+    loop or array the space leaves out keeps the model's factor and is
+    not pipelined."""
     ii_at, unroll_at, partition_at, fixed = positions
 
     def settings(point: tuple) -> Settings:

@@ -49,10 +49,6 @@ class PragmaDirective:
     mode: str | None = None  # INTERFACE
     source_line: int = 1
 
-    def same_params(self, other: "PragmaDirective") -> bool:
-        """Field-for-field equality ignoring source position."""
-        return replace(self, source_line=1) == replace(other, source_line=1)
-
 
 @dataclass(frozen=True)
 class AnchorPoint:

@@ -4,6 +4,8 @@ The knowledge base is a directory with a ``targets.json`` device list and a
 ``docs/`` folder of markdown notes (front-matter delimited by ``---`` lines).
 Retrieval is plain BM25 (k1=1.2, b=0.75) over lowercased alphanumeric tokens,
 with a hard device-family applicability filter applied before ranking.
+`build_index` computes each (term, doc) pair's BM25 weight once, and
+`retrieve` ranks the docs by the sum of their weights over a query's terms.
 """
 
 from __future__ import annotations
@@ -78,10 +80,6 @@ class KbIndex:
     """Immutable-after-build BM25 index over a document corpus."""
 
     docs: list[KnowledgeDoc]
-    term_stats: dict[str, int] = field(default_factory=dict)  # term -> document frequency
-    doc_lengths: dict[str, int] = field(default_factory=dict)  # doc id -> token count
-    avg_doc_length: float = 0.0
-    postings: dict[str, dict[str, int]] = field(default_factory=dict)  # term -> {doc id -> tf}
     # term -> {doc id -> that term's BM25 contribution to the doc's score}
     weights: dict[str, dict[str, float]] = field(default_factory=dict)
 
@@ -92,62 +90,40 @@ def tokenize(text: str) -> list[str]:
 
 
 def build_index(docs: list[KnowledgeDoc]) -> KbIndex:
+    """The docs sorted by id, and each (term, doc) pair's BM25 weight:
+    idf * tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl)), with the
+    non-negative idf ln(1 + (N - df + 0.5) / (df + 0.5)), so no score goes
+    below zero even for terms present in most documents."""
     docs = sorted(docs, key=lambda d: d.id)
-    postings: dict[str, dict[str, int]] = {}
-    doc_lengths: dict[str, int] = {}
+    postings: dict[str, dict[str, int]] = {}  # term -> {doc id -> tf}
+    doc_lengths: dict[str, int] = {}  # doc id -> token count
     for doc in docs:
         terms = tokenize(doc.title + " " + doc.body)
         doc_lengths[doc.id] = len(terms)
         for term in terms:
             postings.setdefault(term, {})
             postings[term][doc.id] = postings[term].get(doc.id, 0) + 1
-    postings = {t: dict(sorted(m.items())) for t, m in sorted(postings.items())}
-    term_stats = {t: len(m) for t, m in postings.items()}
     avg = sum(doc_lengths.values()) / len(docs) if docs else 0.0
     n_docs = len(docs)
     weights: dict[str, dict[str, float]] = {}
     for term, tfs in postings.items():
-        df = term_stats[term]
+        df = len(tfs)
         idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
         weights[term] = {
             doc_id: idf * tf * (BM25_K1 + 1.0)
             / (tf + BM25_K1 * (1.0 - BM25_B + BM25_B * doc_lengths[doc_id] / avg))
             for doc_id, tf in tfs.items()
         }
-    return KbIndex(
-        docs=docs,
-        term_stats=term_stats,
-        doc_lengths=doc_lengths,
-        avg_doc_length=avg,
-        postings=postings,
-        weights=weights,
-    )
+    return KbIndex(docs=docs, weights=weights)
 
 
 _NO_WEIGHTS: dict[str, float] = {}
 
 
-def bm25_score(index: KbIndex, query_terms: list[str], doc_id: str) -> float:
-    """BM25 score of one document for a tokenized query: the sum, in query
-    term order, of each term's contribution, which `build_index` computes
-    once per (term, doc) as idf * tf * (k1 + 1) / (tf + k1 * (1 - b + b *
-    dl / avgdl)).
-
-    Uses the non-negative idf variant ln(1 + (N - df + 0.5)/(df + 0.5)) so
-    scores never go below zero even for terms present in most documents.
-    """
-    if doc_id not in index.doc_lengths:
-        raise NotFound(f"doc id {doc_id!r} not in index")
-    score = 0.0
-    for term in query_terms:
-        weight = index.weights.get(term, _NO_WEIGHTS).get(doc_id)
-        if weight is not None:
-            score += weight
-    return score
-
-
 def retrieve(index: KbIndex, query: str, target: FpgaTarget, k: int) -> list[KnowledgeDoc]:
-    """Top-k docs applicable to the target family, ranked by BM25.
+    """Top-k docs applicable to the target family, ranked by BM25: a doc's
+    score is the sum of its `build_index` weights over the query's terms,
+    in query order.
 
     Ties break on ascending doc id so results are fully deterministic.
     """
@@ -156,7 +132,7 @@ def retrieve(index: KbIndex, query: str, target: FpgaTarget, k: int) -> list[Kno
 
         raise ContractError(f"retrieve requires k >= 1, got {k}")
     scores: dict[str, float] = {}
-    for term in tokenize(query):  # each doc's terms are added in query order, as bm25_score does
+    for term in tokenize(query):
         for doc_id, weight in index.weights.get(term, _NO_WEIGHTS).items():
             scores[doc_id] = scores.get(doc_id, 0.0) + weight
     candidates = [d for d in index.docs if d.applies_to(target.family)]
@@ -207,6 +183,8 @@ def load_targets(path: Path) -> list[FpgaTarget]:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path.name}: invalid JSON: {exc}") from exc
+    if not isinstance(raw, list):
+        raise ValidationError(f"{path.name}: not a JSON array")
     targets: list[FpgaTarget] = []
     seen: dict[str, int] = {}
     for i, entry in enumerate(raw):

@@ -33,11 +33,10 @@ requested II, its factor and the partition factors. `coster` is the only
 code that combines them: it tabulates the terms per rung of the values
 each setting takes, folds the enclosing loops into one fixed
 multiply-and-add, and returns a function that costs settings read from a
-flat tuple. `cost` is that function with one rung per setting, the same
-on every target; the search in `dse` calls it over its ladders.
-`evaluate` adds the target's rules (WNS and TNS at a clock, overflow
-against capacity) and each loop's achieved II, and builds the report;
-`simulate` evaluates a model's own settings.
+flat tuple, the same on every target. The search in `dse` calls it over
+its ladders; `evaluate` calls it with one rung per setting, adds the
+target's rules (WNS and TNS at a clock, overflow against capacity) and
+each loop's achieved II, and builds the report.
 """
 
 from __future__ import annotations
@@ -131,6 +130,11 @@ def _check_structure(model: KernelModel) -> None:
             raise ValidationError(f"loop {loop.label!r}: trip_count must be >= 1")
         if min(loop.op_counts.values(), default=0) < 0:
             raise ValidationError(f"loop {loop.label!r}: negative op count")
+        unknown = sorted(loop.op_counts.keys() - OP_DEPTH.keys())
+        if unknown:
+            raise ValidationError(
+                f"loop {loop.label!r}: unknown op {unknown[0]!r}, not one of {', '.join(OP_DEPTH)}"
+            )
     if len(labels) != len(set(labels)):
         raise ValidationError(f"duplicate loop labels: {labels}")
     names = [a.name for a in model.arrays]
@@ -301,29 +305,6 @@ def _loop_logic_levels(pipelined: bool, unroll_factor: int, muls: int) -> int:
     return 4 + _log2_ceil(unroll_factor) + (2 if muls > 0 else 0)
 
 
-def memory_ii_floor(model: KernelModel, unroll_factor: int) -> int:
-    """Port-pressure floor on II for a loop of the model unrolled by the given factor."""
-    return _memory_floor(model.arrays, [a.partition_factor for a in model.arrays], unroll_factor)
-
-
-def achieved_ii(model: KernelModel, loop: LoopDescriptor) -> int:
-    """The II a loop of the model achieves when pipelined."""
-    requested = loop.pipeline_ii if loop.pipeline_ii is not None else 1
-    partition = [a.partition_factor for a in model.arrays]
-    return _achieved_ii(model.arrays, partition, loop, requested, loop.unroll_factor)
-
-
-class Cost(NamedTuple):
-    """What a kernel shape under settings costs, on any target."""
-
-    latency: int  # cycles
-    ff: int
-    lut: int
-    dsp: int
-    bram: int
-    levels: int  # the most logic levels of any loop
-
-
 def _loop_terms(
     loop: LoopShape, bits: int, pipelined: bool, unroll_factor: int
 ) -> tuple[int, int, int, int]:
@@ -362,11 +343,12 @@ def _leaf_latency(
 
 
 def coster(shape: KernelShape, rungs, ii_at, unroll_at, partition_at):
-    """cost_of(values): the shape's `Cost` fields, as a plain tuple, at
-    settings read from a flat tuple by position. Loop k's requested II
-    (None = not pipelined) is values[ii_at[k]] and its unroll factor
-    values[unroll_at[k]]; array k's partition factor is
-    values[partition_at[k]]. rungs[i] holds every value position i takes.
+    """cost_of(values): the shape's (latency in cycles, FF, LUT, DSP,
+    BRAM, the most logic levels of any loop) at settings read from a
+    flat tuple by position. Loop k's requested II (None = not pipelined)
+    is values[ii_at[k]] and its unroll factor values[unroll_at[k]]; array
+    k's partition factor is values[partition_at[k]]. rungs[i] holds every
+    value position i takes.
 
     The only code that combines the term helpers: each loop's terms are
     tabulated per (II, factor) rung pair and each array's BRAM per rung;
@@ -415,21 +397,8 @@ def coster(shape: KernelShape, rungs, ii_at, unroll_at, partition_at):
     return cost_of
 
 
-def cost(shape: KernelShape, settings: Settings) -> Cost:
-    """Latency and resources of a kernel shape under settings: `coster`
-    with one rung per setting, which combines the term helpers above, the
-    only copy of the formula table in this module's docstring.
-
-    Checks nothing; `evaluate` rejects a setting below 1.
-    """
-    values = (*settings.pipeline_ii, *settings.unroll, *settings.partition)
-    n, at = len(shape.loops), range(len(values))
-    cost_of = coster(shape, [(v,) for v in values], at[:n], at[n : 2 * n], at[2 * n :])
-    return Cost(*cost_of(values))
-
-
 def _overflow(usage, target: FpgaTarget) -> frozenset[str]:
-    """The resources of a Cost or ResourceUsage above the target's capacity."""
+    """The resources of a ResourceUsage above the target's capacity."""
     return frozenset([n for n in RESOURCE_NAMES if getattr(usage, n) > target.capacity(n)])
 
 
@@ -442,36 +411,35 @@ def evaluate(
     shape: KernelShape, settings: Settings, target: FpgaTarget, clock_ns: float
 ) -> QoRReport:
     """Deterministic QoR of a kernel shape under settings, on a target at a
-    clock: the shape's `cost`, the target's timing and capacity rules, and
-    each loop's achieved II. Raises ValidationError on a setting below 1.
+    clock: `coster` with one rung per setting, the target's timing and
+    capacity rules, and each loop's achieved II. Raises ValidationError on
+    a setting below 1.
 
     Pure function: equal inputs give equal reports. Resource overflow is
     reported through flags, not an error, so the refinement loop can feed
     it back to the generator.
     """
     _check_settings(shape.loops, shape.arrays, settings)
-    c = cost(shape, settings)
+    values = (*settings.pipeline_ii, *settings.unroll, *settings.partition)
+    n, at = len(shape.loops), range(len(values))
+    cost_of = coster(shape, [(v,) for v in values], at[:n], at[n : 2 * n], at[2 * n :])
+    latency, ff, lut, dsp, bram, levels = cost_of(values)
+    usage = ResourceUsage(ff, lut, dsp, bram)
     metrics = []
     for loop, ii, u in zip(shape.loops, settings.pipeline_ii, settings.unroll):
         if ii is not None:
             ii = _achieved_ii(shape.arrays, settings.partition, loop, ii, u)
         metrics.append(LoopMetric(loop.label, ii, loop.depth, ii is not None))
-    wns_cents = _wns_cents(c.levels, target, clock_ns)
+    wns_cents = _wns_cents(levels, target, clock_ns)
     return QoRReport(
-        latency_cycles=c.latency,
+        latency_cycles=latency,
         timing=TimingSummary.from_wns(
             wns_cents / 100, min(0, wns_cents) * len(metrics) / 100, round(clock_ns * 100) / 100
         ),
-        resources=ResourceUsage(c.ff, c.lut, c.dsp, c.bram, _overflow(c, target)),
+        resources=replace(usage, overflow=_overflow(usage, target)),
         loops=tuple(metrics),
         source_phase="simulated",
     )
-
-
-def simulate(model: KernelModel, target: FpgaTarget, clock_ns: float) -> QoRReport:
-    """Deterministic QoR for a kernel model, with its own settings, on a
-    target at a clock. Raises ValidationError on an invalid model."""
-    return evaluate(KernelShape.of(model), Settings.of(model), target, clock_ns)
 
 
 def critical_path_ns(report: QoRReport) -> float:

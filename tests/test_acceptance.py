@@ -28,19 +28,19 @@ from timelyhls.bench import compute_resource_delta, compute_speedup
 from timelyhls.cli import main as cli_main
 from timelyhls.dse import AnnealSchedule, ConfigSpace, anneal, brute_force, factor_ladder, objective
 from timelyhls.hls_source import SourceUnit, parse_pragma_line, serialize_pragma, strip_pragmas
-from timelyhls.kb import build_index, bm25_score, tokenize
+from timelyhls.kb import build_index, retrieve, tokenize
 from timelyhls.llm import BackendConfig, make_backend
 from timelyhls.loop import RefinementConfig, evaluate_convergence, run_refinement
 from timelyhls.reports import ResourceUsage, canonical_dumps, canonical_load, canonical_save
 from timelyhls.reports import default_profile, parse_vendor_report
 from timelyhls.toolchain import (
     KernelModel,
+    KernelShape,
+    Settings,
     SimulatedToolchain,
-    achieved_ii,
     critical_path_ns,
+    evaluate,
     load_model,
-    memory_ii_floor,
-    simulate,
 )
 
 from conftest import FIXTURES, bm25_reference, make_target, random_model, random_qor
@@ -193,6 +193,10 @@ def test_criterion_3_scripted_scenarios(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+def own(model, target, clock_ns):  # the report of the model's own settings
+    return evaluate(KernelShape.of(model), Settings.of(model), target, clock_ns)
+
+
 def _with_loop(model: KernelModel, index: int, **changes) -> KernelModel:
     loops = model.root.chain()
 
@@ -215,33 +219,38 @@ def test_criterion_4_simulator_properties():
         loops = model.root.chain()
         pick = rng.randrange(len(loops))
 
-        base = simulate(model, target, clock)
+        base = own(model, target, clock)
 
         # purity
-        assert simulate(model, target, clock) == base
+        assert own(model, target, clock) == base
 
         # pipeline ii=1 never increases latency
         without = _with_loop(model, pick, pipeline_ii=None)
         with_pipe = _with_loop(model, pick, pipeline_ii=1)
         assert (
-            simulate(with_pipe, target, clock).latency_cycles
-            <= simulate(without, target, clock).latency_cycles
+            own(with_pipe, target, clock).latency_cycles
+            <= own(without, target, clock).latency_cycles
         )
 
         # unroll monotonicity along the doubling ladder
         doubled = _with_loop(model, pick, unroll_factor=loops[pick].unroll_factor * 2)
-        after = simulate(doubled, target, clock)
+        after = own(doubled, target, clock)
         assert after.latency_cycles <= base.latency_cycles
         assert after.resources.dsp >= base.resources.dsp
         assert after.resources.lut >= base.resources.lut
 
-        # achieved II >= every floor
-        for loop in loops:
-            ii = achieved_ii(model, loop)
-            assert ii >= memory_ii_floor(model, loop.unroll_factor)
+        # achieved II >= every floor: the request (II 1 when there is none),
+        # the port floor (the II at request 1 with no carried dependence)
+        # and the carried-dependence distance
+        for k, loop in enumerate(loops):
+            requested = loop.pipeline_ii or 1
+            ii = own(_with_loop(model, k, pipeline_ii=requested), target, clock).loops[k].ii
+            floor = own(
+                _with_loop(model, k, pipeline_ii=1, carried_dependence_distance=0), target, clock
+            ).loops[k].ii
+            assert ii >= floor
             assert ii >= max(1, loop.carried_dependence_distance)
-            if loop.pipeline_ii is not None:
-                assert ii >= loop.pipeline_ii
+            assert ii >= requested
 
         # WNS + critical path == clock, exactly, in 2-dp arithmetic
         assert round(base.timing.wns_ns * 100) + round(critical_path_ns(base) * 100) == round(
@@ -264,7 +273,7 @@ def test_criterion_5_pragma_round_trip():
         d = random_directive(rng)
         line = serialize_pragma(d)
         parsed = parse_pragma_line(line)
-        assert parsed.same_params(d)
+        assert parsed == d
         assert serialize_pragma(parsed) == line
 
     base_text = timelyhls.data_path("bench", "src", "matmul.cpp").read_text()
@@ -310,13 +319,11 @@ def test_criterion_6_bm25_equivalence():
                          " ".join(rng.choices(vocab, k=rng.randint(1, 40))))
             for i in range(n_docs)
         ]
-        index = build_index(docs)
         doc_tokens = {d.id: tokenize(d.body) for d in docs}
         query = rng.choices(vocab, k=rng.randint(1, 5))
-        for d in docs:
-            assert bm25_score(index, query, d.id) == pytest.approx(
-                bm25_reference(doc_tokens, query, d.id), abs=1e-9
-            )
+        score = {d.id: bm25_reference(doc_tokens, query, d.id) for d in docs}
+        ranked = sorted(docs, key=lambda d: (-score[d.id], d.id))
+        assert retrieve(build_index(docs), " ".join(query), make_target(), n_docs) == ranked
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
     _report(6, f"100 corpora vs brute-force reference in {elapsed:.2f}s")
@@ -539,7 +546,7 @@ def test_criterion_9_dse_matches_brute_force():
     for benchmark in benchmarks:
         model = load_model(benchmark.model_path)
         space = _restricted_space(model)
-        assert space.size() <= 256
+        assert len(list(space.points())) <= 256
         _, best_obj = brute_force(model, target, space)
         hits = 0
         for seed in range(100):

@@ -11,10 +11,10 @@ from timelyhls.bench import (
     compute_resource_delta,
     compute_speedup,
     delta_from_reports,
-    emit_tables,
     format_speedup,
     load_manifest,
     success_matrix_csv,
+    write_results,
 )
 from timelyhls.errors import ContractError, ValidationError
 from timelyhls.reports import LoopMetric, QoRReport, ResourceUsage, TimingSummary
@@ -102,48 +102,68 @@ def make_delta(**overrides):
     return QoRDelta(**base)
 
 
+def table(out_dir, deltas, name="full", ext="csv"):
+    """The text of one table file `write_results` writes for the deltas."""
+    write_results(deltas, [], out_dir)
+    return (out_dir / "tables" / f"{name}.{ext}").read_text(encoding="utf-8")
+
+
 class TestTables:
-    def test_ff_row_contains_expected_values(self):
-        text = emit_tables([make_delta()], format="csv", table="ff")
+    def test_ff_row_contains_expected_values(self, tmp_path):
+        text = table(tmp_path, [make_delta()], "ff")
         assert "247" in text
         assert "-57.34" in text
         assert text.splitlines()[0] == "Benchmark,Family,Part,FF Used,FF Change (%)"
 
-    def test_empty_list_is_header_only(self):
-        text = emit_tables([], format="csv", table="full")
-        assert len(text.splitlines()) == 1
+    def test_every_table_selects_its_columns_of_the_full_one(self, tmp_path):
+        text = table(tmp_path, [make_delta()])
+        assert text == (
+            "Benchmark,Family,Part,Speedup,FF Used,FF Change (%),LUTs Used,LUTs Change (%),"
+            "DSP Base,DSP Optimized,Base II,Optimized II,WNS Base (ns),WNS Optimized (ns)\n"
+            "viterbi,Artix-7,xc7a200tfbg676-2,1.5,247,-57.34,619,-48.24,5,160,-,1,-0.08,0.10\n"
+        )
+        assert table(tmp_path, [make_delta()], "latency").splitlines() == [
+            "Benchmark,Family,Part,Speedup,WNS Base (ns),WNS Optimized (ns)",
+            "viterbi,Artix-7,xc7a200tfbg676-2,1.5,-0.08,0.10",
+        ]
+        assert table(tmp_path, [make_delta()], "loop_ii").splitlines() == [
+            "Benchmark,Part,Base II,Optimized II",
+            "viterbi,xc7a200tfbg676-2,-,1",
+        ]
 
-    def test_deterministic(self):
+    def test_empty_list_is_header_only(self, tmp_path):
+        assert len(table(tmp_path, []).splitlines()) == 1
+
+    def test_deterministic(self, tmp_path):
         deltas = [make_delta(), make_delta(benchmark_id="vecadd", part="xc7s50-ftgb196-2")]
-        assert emit_tables(deltas) == emit_tables(deltas)
+        assert table(tmp_path / "one", deltas) == table(tmp_path / "two", deltas)
 
-    def test_row_order_by_benchmark_then_part(self):
+    def test_row_order_by_benchmark_then_part(self, tmp_path):
         deltas = [
             make_delta(benchmark_id="zz", part="a"),
             make_delta(benchmark_id="aa", part="b"),
             make_delta(benchmark_id="aa", part="a"),
         ]
-        rows = emit_tables(deltas, table="loop_ii").splitlines()[1:]
-        assert [r.split(",")[0] for r in rows] == ["aa", "aa", "zz"]
+        rows = table(tmp_path, deltas, "loop_ii").splitlines()[1:]
+        assert [r.split(",")[:2] for r in rows] == [["aa", "a"], ["aa", "b"], ["zz", "a"]]
 
-    def test_distinct_inputs_distinct_bytes(self):
-        one = emit_tables([make_delta()])
-        other = emit_tables([make_delta(ff_opt=248)])
+    def test_distinct_inputs_distinct_bytes(self, tmp_path):
+        one = table(tmp_path / "one", [make_delta()])
+        other = table(tmp_path / "other", [make_delta(ff_opt=248)])
         assert one != other
 
-    def test_markdown_shape(self):
-        text = emit_tables([make_delta()], format="markdown", table="lut")
-        lines = text.splitlines()
+    def test_markdown_shape(self, tmp_path):
+        lines = table(tmp_path, [make_delta()], "lut", "md").splitlines()
         assert lines[0].startswith("| Benchmark | Family | Part | LUTs Used")
         assert lines[1].startswith("| --- |")
         assert "619" in lines[2]
 
-    def test_ii_renders_dash_when_absent(self):
-        text = emit_tables([make_delta(ii_base=None, ii_opt=1)], table="loop_ii")
+    def test_ii_renders_dash_when_absent(self, tmp_path):
+        text = table(tmp_path, [make_delta(ii_base=None, ii_opt=1)], "loop_ii")
         assert ",-,1" in text.splitlines()[1]
 
-    def test_new_marker_rendered(self):
-        text = emit_tables([make_delta(ff_change_pct="new")], table="ff")
+    def test_new_marker_rendered(self, tmp_path):
+        text = table(tmp_path, [make_delta(ff_change_pct="new")], "ff")
         assert ",new" in text.splitlines()[1]
 
 

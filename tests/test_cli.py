@@ -104,6 +104,16 @@ class TestKbValidate:
         result = runner.invoke(main, ["kb", "validate", "--kb-dir", str(tmp_path / "empty")])
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize("text", ["5", "{}"])
+    def test_targets_not_an_array_exits_one(self, runner, tmp_path, text):
+        kb_dir = write_small_kb(tmp_path)
+        (kb_dir / "targets.json").write_text(text)
+        result = runner.invoke(main, ["kb", "validate", "--kb-dir", str(kb_dir)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == "validation failed: targets.json: not a JSON array\n"
+        assert result.stdout == ""
+
 
 class TestOptimize:
     def setup_scene(self, tmp_path, ids=("matmul",)):
@@ -708,8 +718,8 @@ class TestMalformedInputs:
     EXITS = {"matrix": 2, "dse": 2, "optimize": 1}
 
     def run(self, runner, tmp_path, command, name, edit):
-        """Run command after edit(text) replaced the text of the manifest
-        or of vecadd's model (a copy), as name says."""
+        """Run command after edit(text) replaced the text of the manifest,
+        of vecadd's model (a copy) or of the device list, as name says."""
         kb_dir = write_small_kb(tmp_path)
         manifest = write_small_manifest(tmp_path, ("vecadd",))
         scripts = tmp_path / "scripts"
@@ -719,7 +729,7 @@ class TestMalformedInputs:
         model.write_text(Path(entries[0]["model_path"]).read_text())
         entries[0]["model_path"] = str(model)
         manifest.write_text(json.dumps(entries))
-        path = {"manifest": manifest, "model": model}[name]
+        path = {"manifest": manifest, "model": model, "targets": kb_dir / "targets.json"}[name]
         path.write_text(edit(path.read_text()))
         config = write_config(tmp_path, kb_dir, manifest, scripts, tmp_path / "results")
         return runner.invoke(main, self.ARGS[command] + ["--config", str(config)])
@@ -748,6 +758,8 @@ class TestMalformedInputs:
             (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "root_loop"}),
              "vecadd_model.json: missing 'root_loop'"),
             (lambda text: text[:40], "vecadd_model.json: not valid JSON"),
+            (lambda text: text.replace('"add"', '"mult"'),
+             "vecadd_model.json: loop 'ADD': unknown op 'mult', not one of mul, add, load, store"),
         ],
     )
     def test_malformed_model(self, runner, tmp_path, command, edit, reason):
@@ -755,6 +767,15 @@ class TestMalformedInputs:
         assert result.exit_code == self.EXITS[command]
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith(f"error: {reason}")
+        assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize("command", ["matrix", "dse", "optimize"])
+    @pytest.mark.parametrize("text", ["5", "{}"])
+    def test_targets_not_an_array(self, runner, tmp_path, command, text):
+        result = self.run(runner, tmp_path, command, "targets", lambda _: text)
+        assert result.exit_code == self.EXITS[command]
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == "error: targets.json: not a JSON array\n"
         assert not (tmp_path / "results").exists()
 
 

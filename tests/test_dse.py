@@ -20,7 +20,6 @@ from timelyhls.dse import (
     factor_ladder,
     neighbor,
     objective,
-    point_settings,
 )
 from timelyhls.errors import ValidationError
 from timelyhls.reports import QoRReport, ResourceUsage, TimingSummary
@@ -30,14 +29,16 @@ from timelyhls.toolchain import (
     KernelShape,
     LoopDescriptor,
     Settings,
-    cost,
     critical_path_ns,
     evaluate,
     load_model,
-    simulate,
 )
 
 from conftest import make_target, random_model, rebuild
+
+
+def own(model, target, clock_ns):  # the report of the model's own settings
+    return evaluate(KernelShape.of(model), Settings.of(model), target, clock_ns)
 
 
 def qor(latency=19, wns=0.1, overflow=()):
@@ -240,7 +241,7 @@ class TestPinnedAnneal:
         best, best_qor, trace = anneal(
             models[bench_id], targets[part], AnnealSchedule(steps=200, seed=0)
         )
-        assert best.key() == key
+        assert best == PragmaConfig(*map(dict, key))
         assert objective(best_qor) == best_obj
         assert hashlib.sha256(json.dumps(trace).encode()).hexdigest() == trace_sha
 
@@ -253,8 +254,8 @@ def rebuild_config(model: KernelModel, cfg: PragmaConfig) -> KernelModel:
 
 
 # ---------------------------------------------------------------------------
-# Evaluating settings against a once-built shape equals simulating the
-# rebuilt model
+# Evaluating settings against a once-built shape equals evaluating the
+# rebuilt model with its own settings
 
 
 @st.composite
@@ -309,7 +310,7 @@ class TestShapeEvaluation:
     def test_equals_simulate_of_applied_config(self, case):
         model, cfg, target, clock = case
         rebuilt = rebuild_config(model, cfg)
-        assert evaluate(KernelShape.of(model), Settings.of(rebuilt), target, clock) == simulate(
+        assert evaluate(KernelShape.of(model), Settings.of(rebuilt), target, clock) == own(
             rebuilt, target, clock
         )
 
@@ -331,7 +332,7 @@ class TestShapeEvaluation:
         with pytest.raises(ValidationError) as by_shape:
             evaluate(KernelShape.of(model), Settings.of(rebuilt), target, clock)
         with pytest.raises(ValidationError) as by_model:
-            simulate(rebuilt, target, clock)
+            own(rebuilt, target, clock)
         assert str(by_shape.value) == str(by_model.value) == expected
 
     def test_anneal_rejects_a_zero_rung(self, roomy_target):
@@ -378,7 +379,7 @@ class TestPointSettings:
     def test_equals_rebuild(self, case):
         model, space, point = case
         expected = Settings.of(rebuild_config(model, space.config(point)))
-        assert point_settings(model, space)(point) == expected
+        assert dse._search(model, space, make_target(), 10.0)[1](point) == expected
 
     def test_points_are_the_product_of_the_ladders(self):
         space = toy_space()
@@ -439,16 +440,17 @@ class TestMemoMisses:
 
     def test_brute_force_evaluates_every_point_once(self, scored, roomy_target):
         brute_force(toy_model(), roomy_target, toy_space())
-        assert len(scored) == toy_space().size() == 8
+        assert scored == list(toy_space().points())
+        assert len(scored) == 8
 
 
 # ---------------------------------------------------------------------------
-# The search scores points from `cost` alone
+# The search scores points from `coster` alone
 
 
 class TestCostSplit:
     """The search never builds a report per point: its objective comes
-    from `cost` and the target's timing and capacity rules, which must
+    from `coster` and the target's timing and capacity rules, which must
     agree with the report `evaluate` builds."""
 
     @settings(max_examples=400, deadline=None)
@@ -462,17 +464,11 @@ class TestCostSplit:
         space = ConfigSpace.for_model(model)
         point = tuple(data.draw(st.sampled_from(ladder)) for ladder in space.ladders)
         if data.draw(st.booleans()):  # at the critical path, or a hundredth either side
-            settings_ = point_settings(model, space)(point)
-            at_10 = evaluate(KernelShape.of(model), settings_, target, 10.0)
+            shape, settings_of, _ = dse._search(model, space, target, 10.0)
+            at_10 = evaluate(shape, settings_of(point), target, 10.0)
             clock = round(critical_path_ns(at_10) + data.draw(st.sampled_from((-0.01, 0, 0.01))), 2)
         shape, settings_of, score = dse._search(model, space, target, clock)
-        report = evaluate(shape, settings_of(point), target, clock)
-        assert score(point) == objective(report)
-        c = cost(shape, settings_of(point))
-        usage = report.resources
-        assert (c.latency, c.ff, c.lut, c.dsp, c.bram) == (
-            report.latency_cycles, usage.ff, usage.lut, usage.dsp, usage.bram
-        )
+        assert score(point) == objective(evaluate(shape, settings_of(point), target, clock))
 
     @settings(max_examples=400, deadline=None)
     @given(data=st.data())
@@ -500,7 +496,7 @@ class TestCostSplit:
         target, clock = data.draw(target_and_clock())
         rebuilt = rebuild_config(model, space.config(point))
         score = dse._search(model, space, target, clock)[2]
-        assert score(point) == objective(simulate(rebuilt, target, clock))
+        assert score(point) == objective(own(rebuilt, target, clock))
 
     @pytest.mark.parametrize("search", ["anneal", "brute_force"])
     @pytest.mark.parametrize(

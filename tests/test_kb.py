@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-import math
 import random
 
 import pytest
 
 import timelyhls
 from timelyhls import kb
-from timelyhls.errors import ConfigError, ContractError, NotFound, ValidationError
-from timelyhls.kb import KnowledgeDoc, bm25_score, build_index, retrieve, tokenize
+from timelyhls.errors import ConfigError, ContractError, ValidationError
+from timelyhls.kb import KnowledgeDoc, build_index, retrieve, tokenize
 
 from conftest import bm25_reference, make_target
 
@@ -42,7 +41,9 @@ class TestIngest:
         assert len(targets) == 10
         assert any(t.part == "xc7a200tfbg676-2" for t in targets)
         assert len(index.docs) > 0
-        assert abs(index.avg_doc_length - sum(index.doc_lengths.values()) / len(index.docs)) < 1e-12
+        assert {doc_id for weights in index.weights.values() for doc_id in weights} == {
+            d.id for d in index.docs
+        }
 
     def test_empty_docs_dir(self, tmp_path):
         (tmp_path / "docs").mkdir()
@@ -50,7 +51,7 @@ class TestIngest:
         targets, index = kb.ingest(tmp_path)
         assert targets == []
         assert index.docs == []
-        assert index.avg_doc_length == 0
+        assert index.weights == {}
 
     def test_missing_directory(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -85,8 +86,22 @@ class TestIngest:
         with pytest.raises(ValidationError, match="broken.md"):
             kb.ingest(tmp_path)
 
+    @pytest.mark.parametrize("text", ["5", "{}", '"targets"', "null"])
+    def test_targets_not_an_array(self, tmp_path, text):
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "targets.json").write_text(text)
+        with pytest.raises(ValidationError, match=r"^targets\.json: not a JSON array$"):
+            kb.ingest(tmp_path)
+
     def test_reingest_is_byte_identical(self, tmp_path):
         assert kb.ingest(timelyhls.data_path("kb")) == kb.ingest(timelyhls.data_path("kb"))
+
+
+def reference_ranking(docs, query_terms, family):
+    """The docs applicable to family, ranked by `bm25_reference` and then id."""
+    doc_tokens = {d.id: tokenize(d.title + " " + d.body) for d in docs}
+    score = {d.id: bm25_reference(doc_tokens, query_terms, d.id) for d in docs}
+    return sorted((d for d in docs if d.applies_to(family)), key=lambda d: (-score[d.id], d.id))
 
 
 class TestBm25:
@@ -99,75 +114,51 @@ class TestBm25:
 
     def test_golden_single_term(self):
         index = build_index(self.golden_corpus())
-        score = bm25_score(index, ["pipeline"], "d1")
-        assert score == pytest.approx(GOLDEN_BM25_SCORE, abs=1e-12)
+        assert index.weights["pipeline"] == {"d1": pytest.approx(GOLDEN_BM25_SCORE, abs=1e-12)}
 
     def test_absent_term_scores_zero(self):
+        """A term no doc holds adds nothing: a query of it alone ranks by id."""
         index = build_index(self.golden_corpus())
-        assert bm25_score(index, ["dataflow"], "d1") == 0.0
-        assert bm25_score(index, ["pipeline"], "d2") == 0.0
+        got = retrieve(index, "dataflow", make_target(), k=3)
+        assert [d.id for d in got] == ["d1", "d2", "d3"]
+        got = retrieve(index, "dataflow hardware", make_target(), k=3)
+        assert [d.id for d in got] == ["d2", "d1", "d3"]
 
     def test_identical_docs_identical_scores(self):
-        index = build_index([_doc("a", "loop pipeline loop"), _doc("b", "loop pipeline loop")])
-        assert bm25_score(index, ["pipeline", "loop"], "a") == bm25_score(
-            index, ["pipeline", "loop"], "b"
-        )
-
-    def test_unknown_doc_id(self):
-        index = build_index(self.golden_corpus())
-        with pytest.raises(NotFound):
-            bm25_score(index, ["pipeline"], "nope")
+        index = build_index([_doc("b", "loop pipeline loop"), _doc("a", "loop pipeline loop")])
+        assert index.weights["pipeline"]["a"] == index.weights["pipeline"]["b"]
+        got = retrieve(index, "pipeline loop", make_target(), k=2)
+        assert [d.id for d in got] == ["a", "b"]
 
     def test_matches_brute_force_reference(self):
         rng = random.Random(7)
         vocab = "pipeline unroll partition loop array bram dsp latency ii timing".split()
+        target = make_target()
         for _ in range(30):
             n_docs = rng.randint(1, 20)
             docs = [
                 _doc(f"d{i}", " ".join(rng.choices(vocab, k=rng.randint(1, 30))))
                 for i in range(n_docs)
             ]
-            index = build_index(docs)
-            doc_tokens = {d.id: tokenize(d.body) for d in docs}
             query = rng.choices(vocab, k=rng.randint(1, 4))
-            for d in docs:
-                assert bm25_score(index, query, d.id) == pytest.approx(
-                    bm25_reference(doc_tokens, query, d.id), abs=1e-9
-                )
+            expected = reference_ranking(docs, query, target.family)
+            assert retrieve(build_index(docs), " ".join(query), target, n_docs) == expected
 
-    @staticmethod
-    def per_call_score(index, query_terms, doc_id):
-        """The BM25 formula evaluated on each call, from the index's counts."""
-        n_docs, dl, score = len(index.docs), index.doc_lengths[doc_id], 0.0
-        for term in query_terms:
-            tf = index.postings.get(term, {}).get(doc_id, 0)
-            if tf == 0:
-                continue
-            df = index.term_stats[term]
-            idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
-            denom = tf + kb.BM25_K1 * (1.0 - kb.BM25_B + kb.BM25_B * dl / index.avg_doc_length)
-            score += idf * tf * (kb.BM25_K1 + 1.0) / denom
-        return score
-
-    def test_precomputed_weights_give_the_per_call_floats(self, bundled_kb):
-        """Scores equal the per-call formula exactly, so rankings and ties
-        are those it gives."""
+    def test_bundled_kb_ranks_as_the_reference(self, bundled_kb):
+        """Rankings and ties on the bundled notes are those the formula
+        gives, for every device family and every k."""
         targets, index = bundled_kb
-        vocab = sorted(index.postings) + ["absent"]
+        vocab = sorted(index.weights) + ["absent"]
         rng = random.Random(20)
         for _ in range(200):
             query = rng.choices(vocab, k=rng.randint(1, 12))
-            score = {d.id: self.per_call_score(index, query, d.id) for d in index.docs}
-            for d in index.docs:
-                assert bm25_score(index, query, d.id) == score[d.id]
             target, k = rng.choice(targets), rng.randint(1, 6)
-            ranked = sorted((d for d in index.docs if d.applies_to(target.family)),
-                            key=lambda d: (-score[d.id], d.id))
+            ranked = reference_ranking(index.docs, query, target.family)
             assert retrieve(index, " ".join(query), target, k) == ranked[:k]
 
     def test_df_never_exceeds_corpus(self, bundled_kb):
         _, index = bundled_kb
-        assert all(df <= len(index.docs) for df in index.term_stats.values())
+        assert all(len(weights) <= len(index.docs) for weights in index.weights.values())
 
 
 class TestRetrieve:
@@ -211,7 +202,8 @@ class TestRetrieve:
         index = build_index(docs)
         target = make_target()
         got = retrieve(index, "pipeline loop", target, k=6)
-        scores = [bm25_score(index, tokenize("pipeline loop"), d.id) for d in got]
+        doc_tokens = {d.id: tokenize(d.body) for d in docs}
+        scores = [bm25_reference(doc_tokens, ["pipeline", "loop"], d.id) for d in got]
         assert scores == sorted(scores, reverse=True)
         assert len(got) <= 6
         assert set(d.id for d in got) <= {d.id for d in docs}

@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from timelyhls import bench
-from timelyhls.dse import ConfigSpace, point_settings
+from timelyhls import bench, dse
+from timelyhls.dse import ConfigSpace
 from timelyhls.errors import MappingError, ToolMissing, ToolTimeout
 from timelyhls.hls_source import PragmaDirective, PragmaKind, SourceUnit, _lex, inject_pragma
 from timelyhls.reports import canonical_dumps, default_profile
@@ -26,18 +26,19 @@ from timelyhls.toolchain import (
     Settings,
     SimulatedToolchain,
     _sim_tokens,
-    achieved_ii,
     critical_path_ns,
     evaluate,
     load_model,
-    memory_ii_floor,
     pragma_settings,
     render_synth_log,
-    simulate,
 )
 
 from conftest import FIXTURES, corpus_sources, make_target, random_model, rebuild, splice_pragmas
 from conftest import table_reference
+
+
+def own(model, target, clock_ns):  # the report of the model's own settings
+    return evaluate(KernelShape.of(model), Settings.of(model), target, clock_ns)
 
 
 def single_loop(trip=16, ops=None, dep=0, unroll=1, ii=None, arrays=()):
@@ -58,19 +59,19 @@ class TestSimulateExamples:
     """Hand-evaluated values from the documented model constants."""
 
     def test_sequential_latency(self, roomy_target):
-        qor = simulate(single_loop(), roomy_target, 10.0)
+        qor = own(single_loop(), roomy_target, 10.0)
         assert qor.latency_cycles == 64  # D = 4, 16 trips
 
     def test_pipelined_latency(self, roomy_target):
-        qor = simulate(single_loop(ii=1), roomy_target, 10.0)
+        qor = own(single_loop(ii=1), roomy_target, 10.0)
         assert qor.latency_cycles == 19  # (16-1)*1 + 4
 
-    def test_memory_floor(self):
-        model = single_loop(arrays=[ArraySpec("a", 64, 2)])
-        assert memory_ii_floor(model, unroll_factor=8) == 8  # ceil(2*8 / 2)
+    def test_memory_floor(self, roomy_target):
+        model = single_loop(ii=1, unroll=8, arrays=[ArraySpec("a", 64, 2)])
+        assert own(model, roomy_target, 10.0).loops[0].ii == 8  # ceil(2*8 / 2)
 
     def test_trip_one_pipelined_is_depth(self, roomy_target):
-        qor = simulate(single_loop(trip=1, ii=1), roomy_target, 10.0)
+        qor = own(single_loop(trip=1, ii=1), roomy_target, 10.0)
         assert qor.latency_cycles == 4
 
     def test_two_loop_nest_full_report(self, roomy_target):
@@ -88,7 +89,7 @@ class TestSimulateExamples:
             ),
             arrays=(ArraySpec("a", 100, 2),),
         )
-        qor = simulate(model, target, 3.0)
+        qor = own(model, target, 3.0)
         assert qor.latency_cycles == 218
         assert qor.resources.dsp == 3
         assert qor.resources.ff == 40  # ceil(4*32/4) + ceil(1*32/4)
@@ -120,7 +121,7 @@ class TestSimulateExamples:
             ),
             arrays=(ArraySpec("a", 100, 2),),
         )
-        qor = simulate(model, target, 3.0)
+        qor = own(model, target, 3.0)
         assert qor.latency_cycles == 54
         assert qor.resources.dsp == 6
         assert qor.resources.ff == 144  # 64 + 72 pipeline regs + 8 for ROW
@@ -132,7 +133,7 @@ class TestSimulateExamples:
     def test_overflow_flags_not_error(self):
         target = make_target(dsps=5)
         model = single_loop(ops={"mul": 1}, unroll=2)  # dsp = 2*3 = 6 > 5
-        qor = simulate(model, target, 10.0)
+        qor = own(model, target, 10.0)
         assert qor.resources.overflow == frozenset({"dsp"})
 
 
@@ -163,12 +164,13 @@ class TestSynthLog:
         for _ in range(300):
             model = random_model(rng)
             shape, settings = KernelShape.of(model), Settings.of(model)
-            log = render_synth_log(evaluate(shape, settings, target, 10.0), shape, settings, target)
+            report = evaluate(shape, settings, target, 10.0)
+            log = render_synth_log(report, shape, settings, target)
             expected = [
-                f"pipeline violation: loop '{l.label}' achieved II = {achieved_ii(model, l)} "
+                f"pipeline violation: loop '{l.label}' achieved II = {m.ii} "
                 f"exceeds requested II = {l.pipeline_ii}"
-                for l in model.loops()
-                if l.pipeline_ii is not None and achieved_ii(model, l) > l.pipeline_ii
+                for l, m in zip(model.loops(), report.loops)
+                if l.pipeline_ii is not None and m.ii > l.pipeline_ii
             ]
             assert [ln for ln in log.splitlines() if ln.startswith("pipeline violation")] == expected
 
@@ -184,8 +186,8 @@ class TestSimulateProperties:
             with_pipe = _set_loop(model, pick, pipeline_ii=1)
             target = make_target()
             assert (
-                simulate(with_pipe, target, 10.0).latency_cycles
-                <= simulate(without, target, 10.0).latency_cycles
+                own(with_pipe, target, 10.0).latency_cycles
+                <= own(without, target, 10.0).latency_cycles
             )
 
     def test_unroll_doubling_monotone(self):
@@ -197,14 +199,17 @@ class TestSimulateProperties:
             pick = rng.randrange(len(loops))
             u = loops[pick].unroll_factor
             doubled = _set_loop(model, pick, unroll_factor=2 * u)
-            before = simulate(model, target, 10.0)
-            after = simulate(doubled, target, 10.0)
+            before = own(model, target, 10.0)
+            after = own(doubled, target, 10.0)
             assert after.latency_cycles <= before.latency_cycles
             assert after.resources.dsp >= before.resources.dsp
             assert after.resources.lut >= before.resources.lut
 
     def test_partition_never_raises_memory_floor(self):
+        """The port floor is the II of the leaf pipelined at II 1 with no
+        carried dependence."""
         rng = random.Random(33)
+        target = make_target()
         for _ in range(200):
             model = random_model(rng)
             if not model.arrays:
@@ -213,22 +218,35 @@ class TestSimulateProperties:
             arrays = list(model.arrays)
             arrays[i] = replace(arrays[i], partition_factor=arrays[i].partition_factor * 2)
             bigger = KernelModel(root=model.root, arrays=tuple(arrays), datapath_bits=model.datapath_bits)
+            leaf = len(model.loops()) - 1
             for u in (1, 2, 8):
-                assert memory_ii_floor(bigger, u) <= memory_ii_floor(model, u)
+                floor_bigger, floor = (
+                    own(_set_loop(m, leaf, pipeline_ii=1, carried_dependence_distance=0,
+                                  unroll_factor=u), target, 10.0).loops[leaf].ii
+                    for m in (bigger, model)
+                )
+                assert floor_bigger <= floor
 
     def test_achieved_ii_at_least_all_floors(self):
+        """Each loop, pipelined at its request (II 1 when it has none),
+        achieves at least its port floor, its carried-dependence distance
+        and its request."""
         rng = random.Random(34)
+        target = make_target()
         for _ in range(300):
             model = random_model(rng)
-            for loop in model.root.chain():
-                ii = achieved_ii(model, loop)
-                assert ii >= memory_ii_floor(model, loop.unroll_factor)
+            for k, loop in enumerate(model.loops()):
+                requested = loop.pipeline_ii or 1
+                ii = own(_set_loop(model, k, pipeline_ii=requested), target, 10.0).loops[k].ii
+                floor = own(
+                    _set_loop(model, k, pipeline_ii=1, carried_dependence_distance=0), target, 10.0
+                ).loops[k].ii
+                assert ii >= floor
                 assert ii >= max(1, loop.carried_dependence_distance)
-                if loop.pipeline_ii is not None:
-                    assert ii >= loop.pipeline_ii
+                assert ii >= requested
 
     def test_ii_is_one_when_unconstrained(self, roomy_target):
-        qor = simulate(single_loop(ii=1), roomy_target, 10.0)
+        qor = own(single_loop(ii=1), roomy_target, 10.0)
         assert qor.loops[0].ii == 1
 
     def test_wns_plus_critical_path_is_clock_exactly(self):
@@ -237,7 +255,7 @@ class TestSimulateProperties:
             model = random_model(rng)
             target = make_target(logic_delay_ns=round(rng.uniform(0.05, 3.0), 2))
             clock = round(rng.uniform(1.0, 20.0), 2)
-            qor = simulate(model, target, clock)
+            qor = own(model, target, clock)
             wns_c = round(qor.timing.wns_ns * 100)
             cp_c = round(critical_path_ns(qor) * 100)
             assert wns_c + cp_c == round(clock * 100)
@@ -247,7 +265,7 @@ class TestSimulateProperties:
         target = make_target()
         for _ in range(50):
             model = random_model(rng)
-            assert simulate(model, target, 10.0) == simulate(model, target, 10.0)
+            assert own(model, target, 10.0) == own(model, target, 10.0)
 
 
 @st.composite
@@ -491,7 +509,7 @@ class TestMappingsAgree:
         # no bundled model presets an II, so an unpipelined loop is None both ways
         assert all(loop.pipeline_ii is None for loop in model.loops())
         by_pragmas = pragma_settings(model, unit.pragmas, unit.anchors)
-        assert by_pragmas == point_settings(model, space)(point)
+        assert by_pragmas == dse._search(model, space, make_target(), 10.0)[1](point)
 
 
 class TestSimulatedToolchain:
@@ -623,7 +641,7 @@ class TestExternalAdapter:
             chain.run_phase("c_sim", SOURCE, tmp_path)
 
     def test_stub_writing_canonical_report(self, tmp_path, roomy_target):
-        golden = simulate(single_loop(ii=1), roomy_target, 10.0)
+        golden = own(single_loop(ii=1), roomy_target, 10.0)
         fixture = tmp_path / "stub_qor.json"
         fixture.write_text(canonical_dumps(golden))
         chain = self.chain(
@@ -667,7 +685,7 @@ class TestExternalAdapter:
     def test_overflow_joins_the_targets_capacity_rule(self, tmp_path, ffs, flagged):
         """A canonical report's own flags stay, and the target's capacity
         rule adds the resources it exceeds."""
-        golden = simulate(single_loop(ii=1), make_target(), 10.0)
+        golden = own(single_loop(ii=1), make_target(), 10.0)
         stated = replace(
             golden,
             resources=replace(golden.resources, ff=ffs, overflow=frozenset({"dsp"})),
