@@ -276,6 +276,24 @@ def optimize(benchmark, part, config_path, backend, script_path, toolchain, max_
     sys.exit(EXIT_OK if state.final_verdict == "converged" else EXIT_FAILURE)
 
 
+def _pool_workers(cfg: AppConfig) -> int:
+    """The threads `matrix` runs its cells on.
+
+    A cell that waits outside the interpreter, on the HTTP backend or on an
+    external toolchain's commands, releases the interpreter lock while it
+    waits, so it gets cfg.jobs threads. A scripted, simulated cell never
+    leaves the interpreter, and more threads would only contend for the
+    lock, so it gets one, unless the interpreter has no lock: on a
+    free-threaded build (3.13+), sys._is_gil_enabled() returns False.
+    Before 3.13 that function is absent, and the lock is always on. Once a
+    toolchain is a runner per phase, "external" becomes "some phase runs a
+    command".
+    """
+    waits_outside = cfg.backend.kind == "http_chat" or cfg.toolchain_kind == "external"
+    gil_enabled = getattr(sys, "_is_gil_enabled", lambda: True)()
+    return cfg.jobs if waits_outside or not gil_enabled else 1
+
+
 def _run_cell(cfg: AppConfig, desc, target, index, script_entries) -> str:
     """Run one matrix cell, building it inside the run; returns its final verdict."""
     return run_refinement(
@@ -286,7 +304,9 @@ def _run_cell(cfg: AppConfig, desc, target, index, script_entries) -> str:
 
 @main.command()
 @click.option("--config", "config_path", type=click.Path(), default=None)
-@click.option("--jobs", type=int, default=None, help="Parallel cells (default: CPUs).")
+@click.option("--jobs", type=int, default=None,
+              help="Parallel cells for the HTTP backend or an external toolchain "
+                   "(default: CPUs); scripted, simulated cells run on one thread.")
 @click.option("--backend", type=click.Choice(["scripted", "http"]), default=None)
 @click.option("--script-path", type=click.Path(), default=None,
               help="Script file or per-benchmark script directory.")
@@ -315,7 +335,7 @@ def matrix(config_path, jobs, backend, script_path, toolchain, max_iters, result
     # neither the descriptors nor the cache keep a failed load: each cell retries it
     cells = [(desc, target) for desc in benchmarks for target in targets]
     script_entries = functools.cache(load_script)
-    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
+    with ThreadPoolExecutor(max_workers=_pool_workers(cfg)) as pool:
         verdicts = list(pool.map(lambda cell: _run_cell(cfg, *cell, index, script_entries), cells))
 
     runs_root = cfg.results_dir / "runs"

@@ -125,7 +125,8 @@ def retrieve(index: KbIndex, query: str, target: FpgaTarget, k: int) -> list[Kno
     score is the sum of its `build_index` weights over the query's terms,
     in query order.
 
-    Ties break on ascending doc id so results are fully deterministic.
+    The sort is by score alone, and it is stable, so ties keep the ascending
+    doc id order `build_index` gave `index.docs`.
     """
     if k < 1:
         from .errors import ContractError
@@ -137,7 +138,7 @@ def retrieve(index: KbIndex, query: str, target: FpgaTarget, k: int) -> list[Kno
             scores[doc_id] = scores.get(doc_id, 0.0) + weight
     candidates = [d for d in index.docs if d.applies_to(target.family)]
     scored = [(scores.get(d.id, 0.0), d) for d in candidates]
-    scored.sort(key=lambda pair: (-pair[0], pair[1].id))
+    scored.sort(key=lambda pair: -pair[0])
     return [d for _, d in scored[:k]]
 
 
@@ -202,6 +203,9 @@ def load_targets(path: Path) -> list[FpgaTarget]:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"{path.name}: entry {i}: {exc}") from exc
+        bad = [name for name in ("family", "part", "tier") if not isinstance(getattr(target, name), str)]
+        if bad:
+            raise ValidationError(f"{path.name}: entry {i}: not a string: {', '.join(bad)}")
         target.validate()
         if target.part in seen:
             raise ValidationError(

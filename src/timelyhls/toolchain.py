@@ -711,9 +711,10 @@ class ExternalToolchain(Toolchain):
 
         Exit 127 means the tool binary is missing (ToolMissing); exceeding the
         per-phase timeout raises ToolTimeout; any other nonzero exit is an
-        ok=False outcome carrying the captured log. A report's overflow flags
-        are joined by those of the target's capacities; a vendor report with
-        no clock gets the toolchain's.
+        ok=False outcome carrying the captured log. The log and a vendor
+        report are decoded as UTF-8, with U+FFFD for each invalid byte. A
+        report's overflow flags are joined by those of the target's
+        capacities; a vendor report with no clock gets the toolchain's.
         """
         try:
             spec = self.phases[phase]
@@ -739,7 +740,8 @@ class ExternalToolchain(Toolchain):
                 shell=True,
                 cwd=workdir,
                 capture_output=True,
-                text=True,
+                encoding="utf-8",
+                errors="replace",
                 timeout=spec.timeout_s,
             )
         except subprocess.TimeoutExpired as exc:
@@ -764,7 +766,7 @@ class ExternalToolchain(Toolchain):
             qor = canonical_load(report_path)
         else:
             qor = parse_vendor_report(
-                report_path.read_text(encoding="utf-8"),
+                report_path.read_text(encoding="utf-8", errors="replace"),
                 spec.profile if spec.profile is not None else default_profile(),
                 self.clock_ns,
                 phase,

@@ -138,6 +138,44 @@ MUTANTS = (
         "unknown = []",
         ("tests/test_cli.py::TestMalformedInputs",),
     ),
+    Mutant(
+        "scripted, simulated matrix keeps --jobs threads",
+        "cli.py",
+        "return cfg.jobs if waits_outside or not gil_enabled else 1",
+        "return cfg.jobs",
+        ("tests/test_cli.py::TestMatrixWorkers::test_scripted_simulated_cells_run_on_one_thread",
+         "tests/test_cli.py::TestMatrixWorkers::test_external_matrix_is_the_same_at_any_jobs"),
+    ),
+    Mutant(
+        "every matrix runs on one thread",
+        "cli.py",
+        "return cfg.jobs if waits_outside or not gil_enabled else 1",
+        "return 1",
+        ("tests/test_cli.py::TestMatrixWorkers::test_scripted_simulated_cells_run_on_one_thread",
+         "tests/test_cli.py::TestMatrixWorkers::test_external_matrix_is_the_same_at_any_jobs"),
+    ),
+    Mutant(
+        "device names of any JSON type",
+        "kb.py",
+        'bad = [name for name in ("family", "part", "tier") if not isinstance(getattr(target, name), str)]',
+        "bad = []",
+        ("tests/test_kb.py",),
+    ),
+    Mutant(
+        "docs indexed in the order given",
+        "kb.py",
+        "docs = sorted(docs, key=lambda d: d.id)",
+        "docs = list(docs)",
+        ("tests/test_kb.py::TestRetrieve::test_sorted_by_score_then_id",
+         "tests/test_kb.py::TestBm25::test_bundled_kb_ranks_as_the_reference"),
+    ),
+    Mutant(
+        "tool output decoded strictly",
+        "toolchain.py",
+        'encoding="utf-8",\n                errors="replace",\n',
+        'encoding="utf-8",\n',
+        ("tests/test_toolchain.py::TestExternalAdapter",),
+    ),
 )
 
 

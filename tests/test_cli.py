@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -84,6 +87,23 @@ def write_config(root: Path, kb_dir, manifest, script_path, results) -> Path:
     return path
 
 
+def stub_toolchain(root: Path, ffs=247, c_sim="true") -> dict:
+    """An external toolchain section whose synthesis phases copy one vendor
+    report (timing met, ffs registers), and whose c_sim runs c_sim."""
+    report = root / "stub.rpt"
+    report.write_text(
+        "WNS(ns): 0.50    TNS(ns): 0.00\n"
+        f"| Slice LUTs | 619 |\n| Slice Registers | {ffs} |\n| DSPs | 5 |\n"
+        "| Block RAM Tile | 3 |\nTotal Latency (cycles): 16531\n"
+    )
+    synth = {"command": f"cp {report} {{workdir}}/synth.rpt"}
+    return {
+        "kind": "external",
+        "phases": {"hls_synth": synth, "rtl_synth": synth,
+                   "c_sim": {"command": c_sim}, "rtl_sim": {"command": "true"}},
+    }
+
+
 class TestKbValidate:
     def test_bundled(self, runner):
         result = runner.invoke(main, ["kb", "validate"])
@@ -112,6 +132,18 @@ class TestKbValidate:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert result.stderr == "validation failed: targets.json: not a JSON array\n"
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("field, value", [("family", 7), ("part", 5), ("tier", None)])
+    def test_target_field_not_a_string_exits_one(self, runner, tmp_path, field, value):
+        kb_dir = write_small_kb(tmp_path)
+        targets = json.loads((kb_dir / "targets.json").read_text())
+        targets[1][field] = value
+        (kb_dir / "targets.json").write_text(json.dumps(targets))
+        result = runner.invoke(main, ["kb", "validate", "--kb-dir", str(kb_dir)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == f"validation failed: targets.json: entry 1: not a string: {field}\n"
         assert result.stdout == ""
 
 
@@ -143,19 +175,8 @@ class TestOptimize:
         """A stub vendor tool reports timing met; FFs above the part's
         200,000 are an overflow the cell must not converge with."""
         config = self.setup_scene(tmp_path)
-        report = tmp_path / "stub.rpt"
-        report.write_text(
-            "WNS(ns): 0.50    TNS(ns): 0.00\n"
-            f"| Slice LUTs | 619 |\n| Slice Registers | {ffs} |\n| DSPs | 5 |\n"
-            "| Block RAM Tile | 3 |\nTotal Latency (cycles): 16531\n"
-        )
-        synth = {"command": f"cp {report} {{workdir}}/synth.rpt"}
         raw = json.loads(config.read_text())
-        raw["toolchain"] = {
-            "kind": "external",
-            "phases": {"hls_synth": synth, "rtl_synth": synth,
-                       "c_sim": {"command": "true"}, "rtl_sim": {"command": "true"}},
-        }
+        raw["toolchain"] = stub_toolchain(tmp_path, ffs=ffs)
         raw["refinement"] = {"max_iterations": 2}
         config.write_text(json.dumps(raw))
         result = runner.invoke(
@@ -197,6 +218,20 @@ class TestOptimize:
         assert state["final_verdict"] == "budget_exhausted"
         qor = bench.final_report(run_dir, state)
         assert (qor.timing.wns_ns, qor.source_phase) == (-2.0, "rtl_synth")
+
+    def test_tool_output_that_is_not_utf8_is_logged_with_replacements(self, runner, tmp_path):
+        """A c_sim tool that prints the Latin-1 byte 0xE9 does not abort the
+        cell: the byte reaches log.txt as U+FFFD."""
+        config = self.setup_scene(tmp_path)
+        raw = json.loads(config.read_text())
+        raw["toolchain"] = stub_toolchain(tmp_path, c_sim="printf 'caf\\351 PASS\\n'")
+        config.write_text(json.dumps(raw))
+        result = runner.invoke(main, [*COMMANDS["optimize"], "--config", str(config)])
+        assert result.exit_code == 0, result.output
+        run_dir = tmp_path / "results" / "runs" / "matmul" / "xc7a200tfbg676-2"
+        state = json.loads((run_dir / "state.json").read_text())
+        assert (state["final_verdict"], len(state["iterations"])) == ("converged", 1)
+        assert "caf\ufffd PASS\n" in (run_dir / "iter_1" / "log.txt").read_text(encoding="utf-8")
 
     def test_failing_run_exits_one(self, runner, tmp_path):
         config = self.setup_scene(tmp_path)
@@ -524,6 +559,87 @@ class TestMatrix:
         assert sorted(reads) == sorted(models)
 
 
+class TestMatrixWorkers:
+    """Scripted, simulated cells run on one pool thread whatever --jobs
+    says; cells that wait outside the interpreter get --jobs threads."""
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """The max_workers of every pool `matrix` makes, in order."""
+        sizes = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", Recording)
+        return sizes
+
+    def scene(self, tmp_path, external: bool) -> Path:
+        kb_dir = write_small_kb(tmp_path)
+        manifest = write_small_manifest(tmp_path, ("matmul", "vecadd"))
+        scripts = tmp_path / "scripts"
+        scenario.write_matrix_scripts(bench.load_manifest(manifest), scripts)
+        config = write_config(tmp_path, kb_dir, manifest, scripts, tmp_path / "results")
+        if external:
+            raw = json.loads(config.read_text())
+            raw["toolchain"] = stub_toolchain(tmp_path)
+            config.write_text(json.dumps(raw))
+        return config
+
+    def test_scripted_simulated_cells_run_on_one_thread(
+            self, runner, tmp_path, monkeypatch, pool_sizes):
+        idents = []
+        run_cell = cli._run_cell
+
+        def recording(*args):
+            idents.append(threading.get_ident())
+            verdict = run_cell(*args)
+            idents.append(threading.get_ident())
+            return verdict
+
+        monkeypatch.setattr(cli, "_run_cell", recording)
+        monkeypatch.delattr(sys, "_is_gil_enabled", raising=False)
+        config = self.scene(tmp_path, external=False)
+        result = runner.invoke(main, ["matrix", "--jobs", "4", "--config", str(config)])
+        assert result.exit_code == 0, result.output
+        assert len(idents) == 8 and len(set(idents)) == 1
+        assert pool_sizes == [1]
+
+    def test_external_matrix_is_the_same_at_any_jobs(self, runner, tmp_path, pool_sizes):
+        config = self.scene(tmp_path, external=True)
+        trees = {}
+        for jobs in (1, 4):
+            out = tmp_path / f"jobs{jobs}"
+            result = runner.invoke(main, ["matrix", "--jobs", str(jobs), "--config", str(config),
+                                          "--results-dir", str(out)])
+            assert result.exit_code == 0, result.output
+            assert result.output.startswith("matrix: 4/4 cells converged")
+            trees[jobs] = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert pool_sizes == [1, 4]
+        assert (tmp_path / "jobs1/runs/vecadd/xc7s50-ftgb196-2/iter_1/c_sim/kernel.cpp").is_file()
+        assert trees[1] == trees[4]
+
+    @pytest.mark.parametrize(
+        "backend, toolchain_kind, workers",
+        [("scripted", "simulated", 1), ("scripted", "external", 6),
+         ("http_chat", "simulated", 6), ("http_chat", "external", 6)],
+    )
+    def test_rule(self, monkeypatch, backend, toolchain_kind, workers):
+        monkeypatch.delattr(sys, "_is_gil_enabled", raising=False)
+        cfg = cli._default_config()
+        cfg = dataclasses.replace(cfg, backend=dataclasses.replace(cfg.backend, kind=backend),
+                                  toolchain_kind=toolchain_kind, jobs=6)
+        assert cli._pool_workers(cfg) == workers
+
+    @pytest.mark.parametrize("gil_enabled, workers", [(True, 1), (False, 6)])
+    def test_free_threaded_interpreter_keeps_jobs(self, monkeypatch, gil_enabled, workers):
+        monkeypatch.setattr(sys, "_is_gil_enabled", lambda: gil_enabled, raising=False)
+        cfg = dataclasses.replace(cli._default_config(), jobs=6)
+        assert cli._pool_workers(cfg) == workers
+
+
 class TestDse:
     def dse_args(self, config):
         return ["dse", "--benchmark", "vecadd", "--part", "xc7a200tfbg676-2",
@@ -776,6 +892,20 @@ class TestMalformedInputs:
         assert result.exit_code == self.EXITS[command]
         assert isinstance(result.exception, SystemExit)
         assert result.stderr == "error: targets.json: not a JSON array\n"
+        assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize("command", ["matrix", "dse", "optimize"])
+    @pytest.mark.parametrize("field", ["family", "part", "tier"])
+    def test_target_field_not_a_string(self, runner, tmp_path, command, field):
+        def edit(text):
+            targets = json.loads(text)
+            targets[0][field] = 5
+            return json.dumps(targets)
+
+        result = self.run(runner, tmp_path, command, "targets", edit)
+        assert result.exit_code == self.EXITS[command]
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == f"error: targets.json: entry 0: not a string: {field}\n"
         assert not (tmp_path / "results").exists()
 
 

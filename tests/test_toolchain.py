@@ -621,6 +621,21 @@ class TestExternalAdapter:
         assert not out.ok
         assert "fail" in out.log
 
+    def test_output_that_is_not_utf8_is_decoded_with_replacements(self, tmp_path):
+        chain = self.chain(c_sim=PhaseCommand(command="printf 'caf\\351 PASS\\n' >&2"))
+        out = chain.run_phase("c_sim", SOURCE, tmp_path)
+        assert out.ok
+        assert out.log == "caf\ufffd PASS\n"
+
+    def test_vendor_report_that_is_not_utf8_is_parsed(self, tmp_path):
+        report = tmp_path / "latin1.rpt"
+        stub = (FIXTURES / "vendor_report.txt").read_bytes()
+        report.write_bytes(b"Vivado HLS report for caf\xe9\n" + stub)
+        chain = self.chain(hls_synth=PhaseCommand(command=f"cp {report} {{workdir}}/synth.rpt"))
+        out = chain.run_phase("hls_synth", SOURCE, tmp_path / "run")
+        assert out.ok
+        assert out.qor.timing.wns_ns == -0.08
+
     def test_only_the_four_placeholders_are_substituted(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HOME", "/home/someone")
         chain = self.chain(
