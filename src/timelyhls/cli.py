@@ -23,7 +23,7 @@ import click
 from . import bench as bench_mod
 from . import data_path, dse as dse_mod, kb as kb_mod, scenario
 from .errors import ConfigError, NotFound, TimelyHlsError, ValidationError, VersionError
-from .llm import BACKEND_KINDS, BackendConfig, ScriptedBackend, load_script, make_backend
+from .llm import BACKEND_KINDS, BackendConfig, HttpChatBackend, ScriptedBackend, load_script
 from .loop import RefinementConfig, run_refinement
 from .reports import json_dumps, to_canonical_dict, write_file
 from .toolchain import (
@@ -192,7 +192,7 @@ def _make_cell(cfg: AppConfig, benchmark, target, script_entries: Callable[[str]
         )
     archive = _archive(cfg, benchmark, target)
     if cfg.backend.kind != "scripted":
-        return make_backend(cfg.backend), toolchain, archive
+        return HttpChatBackend(cfg.backend), toolchain, archive
     script = _resolve_script(cfg, benchmark.id)
     cfg.backend.validate()  # a script was found, so only the other fields can fail
     return ScriptedBackend(script, script_entries(script)), toolchain, archive
@@ -338,8 +338,11 @@ def matrix(config_path, jobs, backend, script_path, toolchain, max_iters, result
     with ThreadPoolExecutor(max_workers=_pool_workers(cfg)) as pool:
         verdicts = list(pool.map(lambda cell: _run_cell(cfg, *cell, index, script_entries), cells))
 
-    runs_root = cfg.results_dir / "runs"
-    deltas, states = bench_mod.collect_results(runs_root)
+    try:
+        deltas, states = bench_mod.collect_results(cfg.results_dir / "runs")
+    except VersionError as exc:  # a corrupt archive file; the message names it
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_FAILURE)
     written = bench_mod.write_results(deltas, states, cfg.results_dir)
     converged = verdicts.count("converged")
     click.echo(f"matrix: {converged}/{len(verdicts)} cells converged; "

@@ -1,10 +1,14 @@
 """Pragma-level manipulation of HLS C/C++ sources.
 
-Parses `#pragma HLS` directives, strips and injects them, and locates
-insertion anchors (function and loop body starts) by lexical token
-scanning. No C parsing is attempted beyond comment/string-aware brace
-tracking; that is enough for pragma placement and fails loudly on
-imbalanced sources.
+One lexical scan per distinct source text (`_lex`, through the cached
+`_parse`) yields everything the package reads from a kernel: the
+`#pragma HLS` directives, the insertion anchors (function and loop body
+starts), the token stream the simulated c_sim/rtl_sim compare, and the
+lines that stripping removes. Directives are taken only from the
+preprocessor lines the scan finds, so a pragma line inside a comment or
+a string literal is not a directive, as for a C compiler. No C parsing
+is attempted beyond comment/string-aware brace tracking; that is enough
+for pragma placement and fails loudly on imbalanced sources.
 """
 
 from __future__ import annotations
@@ -67,17 +71,24 @@ class AnchorPoint:
 
 @dataclass(frozen=True)
 class SourceUnit:
-    """An HLS source file with its parsed pragmas and anchors."""
+    """An HLS source file and what one scan of its text found.
+
+    `pragmas` are the recognized directives in line order, `tokens` the
+    code tokens (no comments, literals' contents or preprocessor lines)
+    that the simulated functional check compares, and `pragma_lines` the
+    1-based lines of every `#pragma HLS` directive, recognized or not.
+    """
 
     path: str
     text: str
     pragmas: tuple[PragmaDirective, ...]
     anchors: tuple[AnchorPoint, ...]
+    tokens: tuple[str, ...]
+    pragma_lines: frozenset[int]
 
     @classmethod
     def from_text(cls, text: str, path: str = "<memory>") -> "SourceUnit":
-        pragmas, anchors = _parse(text)
-        return cls(path=path, text=text, pragmas=pragmas, anchors=anchors)
+        return cls(path, text, *_parse(text))
 
 
 # ---------------------------------------------------------------------------
@@ -166,16 +177,6 @@ def parse_pragma_line(line: str, line_no: int = 1) -> PragmaDirective | None:
     return PragmaDirective(kind=kind, source_line=line_no, **fields)
 
 
-def parse_pragmas(text: str) -> list[PragmaDirective]:
-    """All recognized directives in the text, in line order."""
-    out = []
-    for i, line in enumerate(text.split("\n"), start=1):
-        d = parse_pragma_line(line, i)
-        if d is not None:
-            out.append(d)
-    return out
-
-
 def serialize_pragma(d: PragmaDirective) -> str:
     """Render a directive in Vitis HLS surface syntax (sans indent)."""
     parts = [f"#pragma HLS {d.kind.value.lower()}"]
@@ -206,13 +207,14 @@ def serialize_pragma(d: PragmaDirective) -> str:
 _TWO_CHAR = {"<<", ">>", "&&", "||", "::", "->", "++", "--"}
 
 
-def _lex(text: str):
+def _lex(text: str, directives: list[tuple[int, str]]):
     """Yield (token, line) pairs: identifiers/numbers and single punctuation.
 
     Comments, string/char literals, and preprocessor lines contribute no
-    tokens, so braces inside them cannot skew the balance. A block comment
-    or literal still open at the end of the text raises ParseError, as a
-    compiler would reject it.
+    tokens, so braces inside them cannot skew the balance. Each
+    preprocessor line is appended to `directives` as (line, its first
+    physical line). A block comment or literal still open at the end of
+    the text raises ParseError, as a compiler would reject it.
     """
     i, line = 0, 1
     n = len(text)
@@ -228,11 +230,13 @@ def _lex(text: str):
             i += 1
             continue
         if at_line_start and c == "#":
+            start, start_line = i, line
             while i < n and text[i] != "\n":
                 if text[i] == "\\" and i + 1 < n and text[i + 1] == "\n":
                     line += 1
                     i += 1
                 i += 1
+            directives.append((start_line, text[start:i].partition("\n")[0]))
             continue
         at_line_start = False
         if c == "/" and i + 1 < n and text[i + 1] == "/":
@@ -256,8 +260,8 @@ def _lex(text: str):
             i += 1
             while i < n and text[i] != quote:
                 if text[i] == "\\":
-                    i += 1
-                elif text[i] == "\n":
+                    i += 1  # the escaped character, a spliced newline too
+                if i < n and text[i] == "\n":
                     line += 1
                 i += 1
             if i >= n:
@@ -293,8 +297,8 @@ class _OpenBrace:
     anchor_index: int | None  # index into the anchors list, when an anchor
 
 
-def find_anchors(text: str) -> list[AnchorPoint]:
-    """Function and loop body-start anchors, by lexical scanning.
+def _find_anchors(lexed) -> list[AnchorPoint]:
+    """Function and loop body-start anchors in a (token, line) stream.
 
     Raises ParseError on brace imbalance, naming the offending line.
     """
@@ -327,7 +331,7 @@ def find_anchors(text: str) -> list[AnchorPoint]:
             loop_nesting += 1
         stack.append(_OpenBrace(kind=kind, label=label, line=line, anchor_index=index))
 
-    for token, line in _lex(text):
+    for token, line in lexed:
         if token == "(":
             if paren_depth == 0 and not stack and _IDENT.match(prev[-1]) and prev[-1] not in (
                 "for",
@@ -397,15 +401,27 @@ PARSE_CACHE_SIZE = 256
 
 
 @functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
-def _parse(text: str) -> tuple[tuple[PragmaDirective, ...], tuple[AnchorPoint, ...]]:
-    """Pragmas in line order and anchors of a text, memoised by the text.
+def _parse(text: str):
+    """The fields of a SourceUnit after `path` and `text`, memoised by the text.
 
-    The values are tuples of frozen dataclasses, so sharing them between
-    units and threads is safe.  A ParseError is raised afresh on every
-    call: lru_cache keeps no exceptions.  Unknown-pragma warnings are
-    therefore logged once per distinct text.
+    One `_lex` pass gives the tokens and the preprocessor lines; the
+    pragmas come from those lines alone, and the anchors from the tokens.
+    The values are immutable, so sharing them between units and threads
+    is safe.  A ParseError is raised afresh on every call: lru_cache
+    keeps no exceptions.  Unknown-pragma warnings are therefore logged
+    once per distinct text.
     """
-    return tuple(parse_pragmas(text)), tuple(find_anchors(text))
+    directives: list[tuple[int, str]] = []
+    lexed = tuple(_lex(text, directives))
+    pragmas, pragma_lines = [], []
+    for line_no, line in directives:
+        if _PRAGMA_LINE.match(line):
+            pragma_lines.append(line_no)
+            d = parse_pragma_line(line, line_no)
+            if d is not None:
+                pragmas.append(d)
+    anchors = _find_anchors(lexed)
+    return tuple(pragmas), tuple(anchors), tuple(tok for tok, _ in lexed), frozenset(pragma_lines)
 
 
 def anchor_for_line(anchors, line: int) -> AnchorPoint | None:
@@ -423,8 +439,10 @@ def anchor_for_line(anchors, line: int) -> AnchorPoint | None:
 
 
 def strip_pragmas(unit: SourceUnit) -> SourceUnit:
-    """Remove every `#pragma HLS` line; all other lines stay byte-identical."""
-    kept = [ln for ln in unit.text.split("\n") if not _PRAGMA_LINE.match(ln.rstrip("\r"))]
+    """Remove every `#pragma HLS` directive line; all other lines stay
+    byte-identical, a pragma line inside a comment or literal included."""
+    lines = unit.text.split("\n")
+    kept = [ln for i, ln in enumerate(lines, start=1) if i not in unit.pragma_lines]
     return SourceUnit.from_text("\n".join(kept), unit.path)
 
 

@@ -328,9 +328,3 @@ class HttpChatBackend(GenerationBackend):
         )
 
 
-def make_backend(cfg: BackendConfig, sleeper=time.sleep) -> GenerationBackend:
-    cfg.validate()
-    if cfg.kind == "scripted":
-        return ScriptedBackend(cfg.script_path)
-    return HttpChatBackend(cfg, sleeper=sleeper)
-

@@ -368,6 +368,8 @@ def canonical_load(path: str | Path) -> QoRReport:
     """The report in a canonical file; VersionError messages name the file."""
     try:
         return from_canonical_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except OSError as exc:  # a missing or unreadable file
+        raise VersionError(f"{path}: cannot read: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise VersionError(f"{path}: not valid JSON: {exc}") from exc
     except VersionError as exc:

@@ -37,8 +37,9 @@ def _busiest_array(model: KernelModel):
     return max(model.arrays, key=lambda a: (a.accesses_per_iteration, a.name))
 
 
-def unrolled_variant(source: str, model: KernelModel, factor: int = INITIAL_UNROLL) -> str:
-    """Source with the innermost model loop unrolled by the given factor."""
+def unrolled_variant(source: str, model: KernelModel, factor: int | None = INITIAL_UNROLL) -> str:
+    """Source with the innermost model loop unrolled by the given factor,
+    or completely when it is None."""
     unit = SourceUnit.from_text(source)
     innermost = model.loops()[-1]
     anchor = _anchor(unit, "loop_body_start", innermost.label)
@@ -70,15 +71,6 @@ def pipelined_variant(source: str, model: KernelModel, top_function: str) -> str
     return unit.text
 
 
-def full_unroll_variant(source: str, model: KernelModel) -> str:
-    """Source with the innermost model loop completely unrolled."""
-    unit = SourceUnit.from_text(source)
-    innermost = model.loops()[-1]
-    anchor = _anchor(unit, "loop_body_start", innermost.label)
-    unit = inject_pragma(unit, anchor, PragmaDirective(kind=PragmaKind.UNROLL))
-    return unit.text
-
-
 def _response(note: str, code: str) -> str:
     return f"{note}\n\n```cpp\n{code.rstrip()}\n```\n"
 
@@ -92,7 +84,7 @@ def default_script_entries(benchmark: BenchmarkDescriptor) -> list[dict]:
         unrolled_variant(source, model),
     )
     if benchmark.id in UNROLL_REPAIR_BENCHMARKS:
-        repair_code = full_unroll_variant(source, model)
+        repair_code = unrolled_variant(source, model, None)  # complete unrolling
         repair_note = "Fully unrolled the recurrence-bound loop to break the dependence chain."
     else:
         repair_code = pipelined_variant(source, model, benchmark.top_function)

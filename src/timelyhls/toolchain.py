@@ -41,7 +41,6 @@ each loop's achieved II, and builds the report.
 
 from __future__ import annotations
 
-import functools
 import json
 import re
 import shlex
@@ -52,7 +51,6 @@ from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
-from . import hls_source
 from .errors import MappingError, ParseError, ToolMissing, ToolTimeout, ValidationError
 from .hls_source import AnchorPoint, PragmaDirective, PragmaKind, SourceUnit, anchor_for_line
 from .kb import FpgaTarget
@@ -526,16 +524,6 @@ class Toolchain:
 # Simulated toolchain
 
 
-@functools.lru_cache(maxsize=hls_source.PARSE_CACHE_SIZE)
-def _sim_tokens(text: str) -> tuple[str, ...]:
-    """Token stream for functional comparison: pragmas, comments, and
-    whitespace are ignored; everything that computes is kept.
-
-    Memoised by text, so every toolchain and cell in a process shares the
-    reference's tokens and each candidate's."""
-    return tuple(tok for tok, _ in hls_source._lex(text))
-
-
 def render_synth_log(
     report: QoRReport, shape: KernelShape, settings: Settings, target: FpgaTarget
 ) -> str:
@@ -582,9 +570,10 @@ class SimulatedToolchain(Toolchain):
     """Deterministic stand-in for the vendor flow, driven by a kernel model.
 
     Synthesis phases map the source's pragmas onto the model and run the
-    analytical simulator; simulation phases check the generated kernel is
-    token-equivalent to the reference once pragmas are removed (pragmas
-    must not change semantics, anything else is a functional mismatch).
+    analytical simulator; simulation phases check the generated kernel
+    parses as synthesis parses it and has the reference's code tokens
+    (pragmas must not change semantics, anything else is a functional
+    mismatch).
     """
 
     def __init__(
@@ -635,10 +624,10 @@ class SimulatedToolchain(Toolchain):
     def _simulate_functional(self, phase: str, source_text: str) -> SynthesisOutcome:
         level = "C" if phase == "c_sim" else "RTL"
         try:
-            got = _sim_tokens(source_text)
+            got = SourceUnit.from_text(source_text).tokens
         except ParseError as exc:
             return SynthesisOutcome(ok=False, phase=phase, log=f"error: {exc}\n")
-        want = _sim_tokens(self.reference_source)
+        want = SourceUnit.from_text(self.reference_source).tokens
         lines = [f"{level} simulation: top '{self.top_function}' against reference testbench"]
         if got == want:  # one tuple comparison; the pairs are walked only to name a mismatch
             lines.append("RESULT: PASS")

@@ -125,6 +125,13 @@ MUTANTS = (
         ("tests/test_hls_source.py",),
     ),
     Mutant(
+        "pragmas read from every physical line again",
+        "hls_source.py",
+        "    for line_no, line in directives:\n",
+        '    for line_no, line in enumerate(text.split("\\n"), start=1):\n',
+        ("tests/test_hls_source.py::TestDirectiveLines::test_pragma_inside_comment_or_literal_is_no_directive",),
+    ),
+    Mutant(
         "device list may be an object",
         "kb.py",
         "if not isinstance(raw, list):",

@@ -29,7 +29,7 @@ from timelyhls.cli import main as cli_main
 from timelyhls.dse import AnnealSchedule, ConfigSpace, anneal, brute_force, factor_ladder, objective
 from timelyhls.hls_source import SourceUnit, parse_pragma_line, serialize_pragma, strip_pragmas
 from timelyhls.kb import build_index, retrieve, tokenize
-from timelyhls.llm import BackendConfig, make_backend
+from timelyhls.llm import ScriptedBackend
 from timelyhls.loop import RefinementConfig, evaluate_convergence, run_refinement
 from timelyhls.reports import ResourceUsage, canonical_dumps, canonical_load, canonical_save
 from timelyhls.reports import default_profile, parse_vendor_report
@@ -145,7 +145,7 @@ def _scripted_run(tmp_path, entries, target, max_iterations=10):
     benchmark = _scale_benchmark(tmp_path)
     script = tmp_path / "script.json"
     script.write_text(json.dumps(entries))
-    backend = make_backend(BackendConfig(kind="scripted", script_path=str(script)))
+    backend = ScriptedBackend(script)
     tool = SimulatedToolchain(
         model=load_model(benchmark.model_path),
         reference_source=_SCALE_KERNEL,

@@ -538,6 +538,21 @@ class TestMatrix:
         assert result.exit_code == 0, result.output
         assert sorted(reads) == sorted(sources)
 
+    def test_corrupt_archive_from_an_earlier_run_exits_one_naming_the_file(self, runner, tmp_path):
+        kb_dir = write_small_kb(tmp_path)
+        manifest = write_small_manifest(tmp_path, ("matmul",))
+        scripts = tmp_path / "scripts"
+        scenario.write_matrix_scripts(bench.load_manifest(manifest), scripts)
+        results = tmp_path / "results"
+        stray = results / "runs" / "zzz" / "part" / "state.json"
+        stray.parent.mkdir(parents=True)
+        stray.write_text("[]")
+        config = write_config(tmp_path, kb_dir, manifest, scripts, results)
+        result = runner.invoke(main, ["matrix", "--config", str(config), "--jobs", "1"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == f"error: {stray}: not a JSON object: list\n"
+
     def test_each_model_is_loaded_once_per_command(self, runner, tmp_path, monkeypatch):
         """The bundled 10x10 matrix, writing its scenario scripts first,
         loads each of the 10 kernel models once: the scripts and the cells
@@ -799,6 +814,7 @@ class TestReportRender:
              "iterations[0].phases.rtl_synth: expected an object, got int"),
             ("state.json", CONVERGED_STATE.replace('"Artix-7"', "null") % FINAL_ITERATION,
              "family: expected a string, got NoneType"),
+            ("iter_1/rtl_synth_qor.json", None, "cannot read: No such file or directory"),
         ],
     )
     def test_corrupt_archive_exits_one_naming_the_file(self, runner, tmp_path, name, text, reason):
@@ -811,7 +827,10 @@ class TestReportRender:
         assert runner.invoke(main, ["matrix", "--config", str(config)]).exit_code == 0
         run_dir = results / "runs" / "matmul" / "xc7a200tfbg676-2"
         assert json.loads((run_dir / "state.json").read_text())["final_verdict"] == "converged"
-        (run_dir / name).write_text(text)
+        if text is None:  # the converged run names iter_1/rtl_synth_qor.json as its final report
+            (run_dir / name).unlink()
+        else:
+            (run_dir / name).write_text(text)
         result = runner.invoke(
             main, ["report", "render", "--runs", str(results / "runs"), "--out", str(tmp_path / "out")]
         )

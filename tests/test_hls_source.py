@@ -17,10 +17,8 @@ from timelyhls.hls_source import (
     PragmaDirective,
     PragmaKind,
     SourceUnit,
-    find_anchors,
     inject_pragma,
     parse_pragma_line,
-    parse_pragmas,
     serialize_pragma,
     strip_pragmas,
 )
@@ -44,6 +42,10 @@ void matmul(const int a[16][16], const int b[16][16], int c[16][16]) {
 """
 
 
+def anchors_of(text):
+    return list(SourceUnit.from_text(text).anchors)
+
+
 class TestParse:
     def test_pipeline_ii(self):
         d = parse_pragma_line("#pragma HLS pipeline II=1")
@@ -55,7 +57,7 @@ class TestParse:
         assert (d.variable, d.partition_type, d.factor, d.dim) == ("buf", "cyclic", 4, 1)
 
     def test_no_pragmas(self):
-        assert parse_pragmas("int main() { return 0; }") == []
+        assert SourceUnit.from_text("int main() { return 0; }").pragmas == ()
 
     def test_case_insensitive_kind_and_keys(self):
         d = parse_pragma_line("#pragma hls PIPELINE ii=3")
@@ -63,11 +65,12 @@ class TestParse:
 
     def test_malformed_value_names_line_and_token(self):
         with pytest.raises(ParseError, match=r"line 4.*II=abc"):
-            parse_pragmas("a\nb\nc\n#pragma HLS pipeline II=abc\n")
+            SourceUnit.from_text("a\nb\nc\n#pragma HLS pipeline II=abc\n")
 
     def test_unknown_kind_skipped_with_warning(self, caplog):
+        hls_source._parse.cache_clear()  # the warning is logged on a cache miss
         with caplog.at_level("WARNING"):
-            assert parse_pragmas("#pragma HLS occurrence cycle=2\n") == []
+            assert SourceUnit.from_text("#pragma HLS occurrence cycle=2\n").pragmas == ()
         assert "occurrence" in caplog.text
 
     def test_unknown_key_rejected(self):
@@ -134,9 +137,54 @@ class TestStrip:
             assert stripped.text == MATMUL
 
 
+class TestDirectiveLines:
+    """Directives are read from the preprocessor lines of the one scan, so
+    a `#pragma HLS` line inside a comment or literal is text, not a
+    directive, as for a C compiler."""
+
+    PRAGMA = "#pragma HLS unroll factor=4"
+
+    @pytest.mark.parametrize(
+        "before, after",
+        [
+            ("            /*\n", "\n            */\n"),
+            ("            /* disabled:\n            ", " */\n"),
+            ('            const char *note = "spliced \\\n', '\\\n";\n'),
+        ],
+    )
+    def test_pragma_inside_comment_or_literal_is_no_directive(self, before, after):
+        text = MATMUL.replace("            int acc = 0;", before + self.PRAGMA + after + "            int acc = 0;")
+        unit = SourceUnit.from_text(text)
+        assert (unit.pragmas, unit.pragma_lines) == ((), frozenset())
+        assert strip_pragmas(unit).text == text
+        mac = text.split("\n").index("            MAC: for (int k = 0; k < 16; k++) {") + 1
+        assert [a.line for a in unit.anchors if a.label == "MAC"] == [mac]
+
+    def test_unrecognized_pragma_lines_are_stripped_too(self, caplog):
+        text = MATMUL.replace("    ROW:", "#pragma HLS occupancy cycles=4\n#pragma HLS\n    ROW:")
+        unit = SourceUnit.from_text(text)
+        assert unit.pragmas == ()
+        assert unit.pragma_lines == frozenset({4, 5})
+        assert strip_pragmas(unit).text == MATMUL
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kernel=st.sampled_from(corpus_sources()),
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(0, 5),
+    )
+    def test_spliced_lines_are_the_per_line_parse(self, kernel, seed, count):
+        """The bundled kernels hold no multi-line comment or literal, so
+        there the scan's directives are those of a per-line parse."""
+        text = splice_pragmas(kernel, random.Random(seed), count)
+        lines = enumerate(text.split("\n"), start=1)
+        want = [d for d in (parse_pragma_line(ln, i) for i, ln in lines) if d is not None]
+        assert list(SourceUnit.from_text(text).pragmas) == want
+
+
 class TestAnchors:
     def test_triple_nest(self):
-        anchors = find_anchors(MATMUL)
+        anchors = anchors_of(MATMUL)
         kinds = [(a.kind, a.label, a.nesting_depth) for a in anchors]
         assert kinds == [
             ("function_body_start", "matmul", 0),
@@ -146,14 +194,14 @@ class TestAnchors:
         ]
 
     def test_empty_file(self):
-        assert find_anchors("") == []
+        assert anchors_of("") == []
 
     def test_two_functions_each_one_loop(self):
         text = (
             "void f(int *a) {\n    L1: for (int i = 0; i < 4; i++) {\n        a[i] = i;\n    }\n}\n"
             "void g(int *a) {\n    L2: while (a[0] < 4) {\n        a[0]++;\n    }\n}\n"
         )
-        anchors = find_anchors(text)
+        anchors = anchors_of(text)
         functions = [a for a in anchors if a.kind == "function_body_start"]
         loops = [a for a in anchors if a.kind == "loop_body_start"]
         assert [a.label for a in functions] == ["f", "g"]
@@ -161,16 +209,16 @@ class TestAnchors:
 
     def test_synthetic_labels(self):
         text = "void f(int *a) {\n    for (int i = 0; i < 4; i++) {\n        a[i] = 0;\n    }\n}\n"
-        loops = [a for a in find_anchors(text) if a.kind == "loop_body_start"]
+        loops = [a for a in anchors_of(text) if a.kind == "loop_body_start"]
         assert [a.label for a in loops] == ["loop_1"]
 
     def test_unbalanced_close(self):
         with pytest.raises(ParseError, match="line 3"):
-            find_anchors("void f() {\n}\n}\n")
+            anchors_of("void f() {\n}\n}\n")
 
     def test_unbalanced_open(self):
         with pytest.raises(ParseError, match="line 1"):
-            find_anchors("void f() {\n    int x = 0;\n")
+            anchors_of("void f() {\n    int x = 0;\n")
 
     @pytest.mark.parametrize(
         "tail, message",
@@ -184,10 +232,10 @@ class TestAnchors:
     )
     def test_unterminated_comment_or_literal(self, tail, message):
         with pytest.raises(ParseError, match=message):
-            find_anchors("void f() {\n}\n" + tail)
+            anchors_of("void f() {\n}\n" + tail)
 
     def test_terminated_comment_and_literal_at_end(self):
-        anchors = find_anchors('void f() {\n}\n/* closed */ const char *s = "x";')
+        anchors = anchors_of('void f() {\n}\n/* closed */ const char *s = "x";')
         assert [a.label for a in anchors] == ["f"]
 
     def test_comments_and_strings_ignored(self):
@@ -201,7 +249,7 @@ class TestAnchors:
             '    }\n'
             '}\n'
         )
-        loops = [a for a in find_anchors(text) if a.kind == "loop_body_start"]
+        loops = [a for a in anchors_of(text) if a.kind == "loop_body_start"]
         assert [a.label for a in loops] == ["L"]
 
 
@@ -269,12 +317,12 @@ def _outcome(parse, text):
 
 
 def _fresh_parse(text):
-    return tuple(parse_pragmas(text)), tuple(find_anchors(text))
+    return hls_source._parse.__wrapped__(text)  # the scan, without the cache
 
 
 def _unit_parse(text):
     unit = SourceUnit.from_text(text, path="kernel.cpp")
-    return unit.pragmas, unit.anchors
+    return unit.pragmas, unit.anchors, unit.tokens, unit.pragma_lines
 
 
 class TestParseCache:

@@ -32,7 +32,6 @@ from timelyhls.llm import (
     build_feedback_prompt,
     build_initial_prompt,
     extract_code_block,
-    make_backend,
 )
 from timelyhls.loop import DigestEntry, FeedbackDigest
 
@@ -288,12 +287,6 @@ class TestHttpBackend:
         assert result.code == "int ok = 1;\n"
         headers, _ = _ChatHandler.requests_seen[0]
         assert headers.get("Authorization") == "Bearer sk-test-123"
-
-    def test_make_backend_dispatch(self, tmp_path, chat_server):
-        script = tmp_path / "s.json"
-        script.write_text("[]")
-        assert isinstance(make_backend(BackendConfig(kind="scripted", script_path=str(script))), ScriptedBackend)
-        assert isinstance(make_backend(self.cfg(chat_server)), HttpChatBackend)
 
     @pytest.mark.parametrize("status", [400, 401, 404])
     def test_client_error_fails_fast(self, chat_server, monkeypatch, status):

@@ -16,7 +16,7 @@ from timelyhls import bench, kb, scenario
 from timelyhls.bench import BenchmarkDescriptor, collect_results
 from timelyhls.errors import ToolMissing, ValidationError
 from timelyhls.kb import build_index
-from timelyhls.llm import BackendConfig, make_backend
+from timelyhls.llm import ScriptedBackend
 from timelyhls.loop import (
     RefinementConfig,
     build_digest,
@@ -248,7 +248,7 @@ def _run(toy_benchmark, tmp_path, entries, target, max_iterations=10, index=None
     tmp_path.mkdir(parents=True, exist_ok=True)
     script = tmp_path / "script.json"
     script.write_text(json.dumps(entries))
-    backend = make_backend(BackendConfig(kind="scripted", script_path=str(script)))
+    backend = ScriptedBackend(script)
     tool = SimulatedToolchain(
         model=_model(),
         reference_source=KERNEL,
@@ -440,7 +440,7 @@ def _run_named(toy_benchmark, tmp_path, runs_root, name, target, **failure):
     """Run RERUN_SCRIPTS[name] into runs_root/<benchmark>/<part>."""
     script = tmp_path / f"{name}.json"
     script.write_text(json.dumps(RERUN_SCRIPTS[name]))
-    backend = make_backend(BackendConfig(kind="scripted", script_path=str(script)))
+    backend = ScriptedBackend(script)
     tool = _toolchain(target, **failure)
     cfg = RefinementConfig(max_iterations=5, clock_ns=target.default_clock_ns)
     archive = runs_root / toy_benchmark.id / target.part
@@ -583,7 +583,7 @@ class TestExternalParity:
         )
         trees = []
         for name, toolchain in (("simulated", simulated), ("external", external)):
-            backend = make_backend(BackendConfig(kind="scripted", script_path=str(script)))
+            backend = ScriptedBackend(script)
             state = run_refinement(
                 benchmark, target, cfg, lambda: (backend, toolchain), tmp_path / name
             )

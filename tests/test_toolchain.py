@@ -3,17 +3,16 @@
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from timelyhls import bench, dse
+from timelyhls import bench, dse, hls_source
 from timelyhls.dse import ConfigSpace
 from timelyhls.errors import MappingError, ToolMissing, ToolTimeout
-from timelyhls.hls_source import PragmaDirective, PragmaKind, SourceUnit, _lex, inject_pragma
+from timelyhls.hls_source import PragmaDirective, PragmaKind, SourceUnit, inject_pragma, strip_pragmas
 from timelyhls.reports import canonical_dumps, default_profile
 from timelyhls.scenario import _anchor
 from timelyhls.toolchain import (
@@ -25,7 +24,6 @@ from timelyhls.toolchain import (
     PhaseCommand,
     Settings,
     SimulatedToolchain,
-    _sim_tokens,
     critical_path_ns,
     evaluate,
     load_model,
@@ -536,6 +534,26 @@ class TestSimulatedToolchain:
         assert out.ok
         assert "PASS" in out.log
 
+    def test_pragma_in_a_block_comment_changes_no_phase(self, tmp_path):
+        """A compiler or Vitis HLS ignores a pragma line inside a comment,
+        so synthesis gives the reference's QoR while the same pragma
+        outside the comment does not."""
+        pragma = "#pragma HLS unroll factor=4\n"
+        live = SOURCE.replace("            out[i * 4 + j]", pragma + "            out[i * 4 + j]")
+        commented = live.replace(pragma, "/*\n" + pragma + "*/\n")
+        chain = self.chain()
+        want = chain.run_phase("hls_synth", SOURCE, tmp_path).qor
+        assert chain.run_phase("hls_synth", live, tmp_path).qor != want
+        assert chain.run_phase("hls_synth", commented, tmp_path).qor == want
+        assert chain.run_phase("c_sim", commented, tmp_path).ok
+
+    @pytest.mark.parametrize("phase", ["hls_synth", "c_sim", "rtl_sim"])
+    def test_malformed_pragma_value_fails_every_phase_alike(self, tmp_path, phase):
+        text = SOURCE.replace("        INNER:", "#pragma HLS pipeline II=abc\n        INNER:")
+        out = self.chain().run_phase(phase, text, tmp_path)
+        assert not out.ok
+        assert out.log == "error: line 3: malformed pragma value in 'II=abc'\n"
+
     def test_sim_catches_semantic_change(self, tmp_path):
         mutant = SOURCE.replace("* 2", "* 3")
         out = self.chain().run_phase("rtl_sim", mutant, tmp_path)
@@ -588,25 +606,41 @@ class TestSimulatedToolchain:
         assert "kernel" in out.log
 
 
-_PRAGMA = re.compile(r"\s*#\s*pragma\s+hls\b", re.IGNORECASE)
-
-
-class TestSimTokensCache:
+class TestSimTokens:
     @settings(max_examples=60, deadline=None)
     @given(
         kernel=st.sampled_from(corpus_sources()),
         seed=st.integers(0, 2**32 - 1),
         count=st.integers(0, 5),
     )
-    def test_cached_tokens_equal_fresh_lex(self, kernel, seed, count):
+    def test_spliced_pragmas_never_change_the_tokens(self, kernel, seed, count):
         text = splice_pragmas(kernel, random.Random(seed), count)
-        kept = "\n".join(ln for ln in text.split("\n") if not _PRAGMA.match(ln))
-        want = tuple(tok for tok, _ in _lex(kept))
-        _sim_tokens.cache_clear()
-        assert _sim_tokens(text) == want  # first call: a miss
-        assert _sim_tokens(text) == want  # repeated call: a hit
-        assert _sim_tokens.cache_info().hits == 1
-        assert _sim_tokens(kernel) == want  # spliced pragmas never change the tokens
+        unit = SourceUnit.from_text(text)
+        assert strip_pragmas(unit).text == kernel  # splicing adds whole lines only
+        assert unit.tokens == SourceUnit.from_text(kernel).tokens
+
+    def test_one_scan_per_text(self, monkeypatch):
+        """The pragmas, anchors, stripped text and both token checks of
+        one kernel text come from one `_lex` pass; a variant with
+        pragmas costs one pass for itself and one for its stripped text."""
+        lexed = []
+        lex = hls_source._lex
+
+        def counting_lex(text, directives):
+            lexed.append(text)
+            return lex(text, directives)
+
+        monkeypatch.setattr(hls_source, "_lex", counting_lex)
+        variant = SOURCE.replace("        INNER:", "#pragma HLS pipeline II=1\n        INNER:")
+        for text, want in ((SOURCE, [SOURCE]), (variant, [variant, SOURCE])):
+            hls_source._parse.cache_clear()
+            lexed.clear()
+            chain = SimulatedToolchain(nest_model(), SOURCE, "kernel", make_target(), 10.0)
+            unit = SourceUnit.from_text(text)
+            assert strip_pragmas(unit).text == SOURCE
+            for phase in ("c_sim", "rtl_sim"):
+                assert chain.run_phase(phase, text, Path("unused")).ok
+            assert lexed == want
 
 
 class TestExternalAdapter:
